@@ -268,6 +268,7 @@ class _PendingQuery:
     uid: Uid
     started: float
     on_result: Callable[[AuthResult], None] | None
+    request_id: str | None
     deadline_handle: object = None
 
 
@@ -315,23 +316,28 @@ class AccessEngine:
     # -- request entry points ------------------------------------------------
 
     def handle_request(
-        self, raw_uid: str, on_result: Callable[[AuthResult], None] | None = None
+        self,
+        raw_uid: str,
+        on_result: Callable[[AuthResult], None] | None = None,
+        request_id: str | None = None,
     ) -> RequestDisposition:
         """Begin processing a card presentation at the current simulated time.
 
         Returns the immediate disposition; for an accepted request the
         AuthResult is delivered through ``on_result`` once the decision
         resolves (same instant for a cache hit, later for the cloud path).
+        ``request_id`` is carried into the request's decision event
+        (``auth_decision``, ``rejected_input`` or ``gate_busy``).
         """
         if self._busy:
             self.counters["gate_busy"] += 1
-            self._emit_event("gate_busy", {"raw_uid": raw_uid})
+            self._emit_event("gate_busy", {"request_id": request_id, "raw_uid": raw_uid})
             return RequestDisposition.GATE_BUSY
         try:
             uid = validate_uid_format(raw_uid)
-        except MalformedUidError as exc:
+        except MalformedUidError:
             self.counters["rejected_input"] += 1
-            self._emit_event("rejected_input", {"raw_uid": raw_uid, "reason": str(exc)})
+            self._emit_event("rejected_input", {"request_id": request_id, "raw_uid": raw_uid})
             return RequestDisposition.REJECTED_INPUT
 
         self._busy = True
@@ -340,12 +346,16 @@ class AccessEngine:
         entry = self.cache.lookup(uid, now_ts)
         if entry is not None:
             outcome = check_temporal(entry.policy, now_ts)
-            self._finish(uid, started, outcome, DecisionSource.CACHE, on_result)
+            self._finish(uid, started, outcome, DecisionSource.CACHE, on_result, request_id)
             return RequestDisposition.ACCEPTED
 
         self._query_counter += 1
         pending = _PendingQuery(
-            query_id=self._query_counter, uid=uid, started=started, on_result=on_result
+            query_id=self._query_counter,
+            uid=uid,
+            started=started,
+            on_result=on_result,
+            request_id=request_id,
         )
         self._pending = pending
         pending.deadline_handle = self._clock.schedule(
@@ -385,38 +395,31 @@ class AccessEngine:
         if reply.kind is ReplyKind.POLICY and reply.policy is not None:
             self.cache.update(pending.uid, reply.policy, now_ts, self.config.cache_ttl_s)
             outcome = check_temporal(reply.policy, now_ts)
-            self._finish(
-                pending.uid, pending.started, outcome, DecisionSource.CLOUD, pending.on_result
-            )
+            self._finish_pending(pending, outcome, DecisionSource.CLOUD)
         elif reply.kind is ReplyKind.NOT_FOUND:
-            self._finish(
-                pending.uid,
-                pending.started,
-                Outcome.DENIED,
-                DecisionSource.CLOUD,
-                pending.on_result,
-            )
+            self._finish_pending(pending, Outcome.DENIED, DecisionSource.CLOUD)
         else:  # backend reachable but unavailable: same recourse as a timeout
             outcome = fallback_decision(pending.uid, self.cache, now_ts, self.config)
-            self._finish(
-                pending.uid, pending.started, outcome, DecisionSource.FALLBACK, pending.on_result
-            )
+            self._finish_pending(pending, outcome, DecisionSource.FALLBACK)
 
     def _on_cloud_deadline(self, query_id: int) -> None:
         pending = self._pending
         if pending is None or pending.query_id != query_id:
             return
         self._pending = None
-        now_ts = self._clock.now_ts()
-        outcome = fallback_decision(pending.uid, self.cache, now_ts, self.config)
-        self._finish(
-            pending.uid, pending.started, outcome, DecisionSource.FALLBACK, pending.on_result
-        )
+        outcome = fallback_decision(pending.uid, self.cache, self._clock.now_ts(), self.config)
+        self._finish_pending(pending, outcome, DecisionSource.FALLBACK)
 
     def _cancel_deadline(self, pending: _PendingQuery) -> None:
-        handle = pending.deadline_handle
-        if handle is not None and hasattr(self._clock, "cancel"):
-            self._clock.cancel(handle)
+        if pending.deadline_handle is not None:
+            self._clock.cancel(pending.deadline_handle)
+
+    def _finish_pending(
+        self, pending: _PendingQuery, outcome: Outcome, source: DecisionSource
+    ) -> None:
+        self._finish(
+            pending.uid, pending.started, outcome, source, pending.on_result, pending.request_id
+        )
 
     def _finish(
         self,
@@ -425,6 +428,7 @@ class AccessEngine:
         outcome: Outcome,
         source: DecisionSource,
         on_result: Callable[[AuthResult], None] | None,
+        request_id: str | None,
     ) -> None:
         at = self._clock.now_ts()
         latency_ms = (self._clock.now() - started) * 1000.0
@@ -436,15 +440,6 @@ class AccessEngine:
         granted = outcome is Outcome.GRANTED
         self.counters["granted" if granted else "denied"] += 1
         self._emit_record(result, granted)
-        self._emit_event(
-            "auth_decision",
-            {
-                "uid": uid.value,
-                "outcome": outcome.value,
-                "source": source.value,
-                "latency_ms": latency_ms,
-            },
-        )
         if granted:
             self.gate.begin_open()
             self.gate.complete_open()
@@ -453,6 +448,17 @@ class AccessEngine:
         else:
             self._emit_event("buzzer", {"pattern": self.config.buzzer_pattern})
             self._busy = False
+        # After the actuator event, so the trace shows the gate reacting first.
+        self._emit_event(
+            "auth_decision",
+            {
+                "request_id": request_id,
+                "uid": uid.value,
+                "outcome": outcome.value,
+                "source": source.value,
+                "latency_ms": latency_ms,
+            },
+        )
         if on_result is not None:
             on_result(result)
 

@@ -147,7 +147,10 @@ class RollingWindow:
         self._mean += delta / n
         self._m2 += delta * (flow - self._mean)
         self._pushes += 1
-        if self._pushes % _REBUILD_EVERY == 0:
+        # With no spread left, a rounding residue in the mean (say, from a
+        # subnormal that has left the window) alone decides flow_anomaly, so
+        # recompute exactly.
+        if self._m2 <= 0.0 or self._pushes % _REBUILD_EVERY == 0:
             self._rebuild()
 
     def _remove(self, value: float) -> None:

@@ -26,7 +26,6 @@ from .auth import (
     PolicyCache,
     PolicyReply,
     ReplyKind,
-    RequestDisposition,
     check_temporal,
     Outcome,
 )
@@ -43,7 +42,7 @@ from .scenario import (
 from .sink import CloudSink, UnauthorizedError, UnavailableError
 from .sync import Ack, Nack, OutboxQueue, SendOutcome, SendTimeout, SyncClient
 from .trace import EventTrace, GroundTruth
-from .wire import RemoteSink, SinkServer
+from .wire import RemoteSink, SinkServer, WireError
 
 
 class SimError(Exception):
@@ -193,8 +192,16 @@ class NetworkModel:
                 p = max(p, q)
         return p
 
-    def add_partition(self, start: float, end: float) -> None:
-        inject_partition(self, start, end)
+    def transit(self, t: float, rng: random.Random) -> float | None:
+        """Latency of a request sent at ``t``, or None when a partition or a
+        drop loses it. The drop draw is taken only under a positive drop
+        probability, so streams stay aligned with runs that never drop."""
+        if self.in_partition(t):
+            return None
+        drop_p = self.drop_probability(t)
+        if drop_p > 0 and rng.random() < drop_p:
+            return None
+        return self.sample_latency(rng)
 
 
 def inject_partition(model: NetworkModel, start: float, end: float) -> None:
@@ -230,22 +237,16 @@ class SimCloudClient(CloudQueryPort):
         self._sink = sink_port
         self._token = token
         self._rng = rng
-        self.queries = 0
 
     def query_policy(self, uid: Uid, on_reply: Callable[[PolicyReply], None]) -> None:
-        self.queries += 1
-        t = self._clock.now()
-        if self._model.in_partition(t):
+        rtt = self._model.transit(self._clock.now(), self._rng)
+        if rtt is None:
             return
-        drop_p = self._model.drop_probability(t)
-        if drop_p > 0 and self._rng.random() < drop_p:
-            return
-        rtt = self._model.sample_latency(self._rng)
 
         def deliver() -> None:
             try:
                 policy = self._sink.query_policy(self._token, uid)
-            except (UnavailableError, UnauthorizedError):
+            except (UnavailableError, UnauthorizedError, WireError):
                 on_reply(PolicyReply(ReplyKind.UNAVAILABLE))
                 return
             if policy is None:
@@ -274,7 +275,6 @@ class SimTransport:
         self.timeout_s = timeout_s
 
     def send(self, payload: bytes, on_result: Callable[[SendOutcome], None]) -> None:
-        t = self._clock.now()
         done = [False]
 
         def finish(outcome: SendOutcome) -> None:
@@ -283,12 +283,9 @@ class SimTransport:
                 on_result(outcome)
 
         self._clock.schedule(self.timeout_s, lambda: finish(SendTimeout()))
-        if self._model.in_partition(t):
+        latency = self._model.transit(self._clock.now(), self._rng)
+        if latency is None:
             return
-        drop_p = self._model.drop_probability(t)
-        if drop_p > 0 and self._rng.random() < drop_p:
-            return
-        latency = self._model.sample_latency(self._rng)
         ack_dropped = (
             self._model.ack_drop_prob > 0 and self._rng.random() < self._model.ack_drop_prob
         )
@@ -296,7 +293,7 @@ class SimTransport:
         def deliver() -> None:
             try:
                 row = self._sink.append(self._token, payload, self._clock.now_ts())
-            except UnavailableError:
+            except (UnavailableError, WireError):
                 finish(Nack("unavailable"))
                 return
             except UnauthorizedError:
@@ -424,10 +421,17 @@ def _flame_value(cfg: FlameWorkload, t: float, rng: random.Random) -> tuple[floa
 # Simulation assembly
 
 
-class _AccessDevice:
+class _Device:
+    """One device's outbox and uplink, feeding an access engine or a safety
+    monitor according to its role."""
+
+    engine: AccessEngine
+    monitor: SafetyMonitor
+
     def __init__(self, sim: "Simulation", cfg: DeviceConfig) -> None:
         self.cfg = cfg
         device = cfg.device_id.value
+        events = sim.device_event(device)
         self.client = SyncClient(
             clock=sim.clock,
             transport=SimTransport(
@@ -440,60 +444,39 @@ class _AccessDevice:
             ),
             policy=cfg.retry,
             queue=OutboxQueue(cfg.outbox.capacity, cfg.outbox.overflow),
-            on_event=sim.device_event(device),
+            on_event=events,
         )
-        self.engine = AccessEngine(
-            device_id=cfg.device_id,
-            location=cfg.location,
-            clock=sim.clock,
-            cloud=SimCloudClient(
-                sim.clock,
-                sim.network,
-                sim.sink_port,
-                sim.token,
-                split_rng(sim.scenario.seed, f"net-auth/{device}"),
-            ),
-            config=cfg.auth,
-            cache=PolicyCache(cfg.auth.cache_capacity),
-            record_out=self.client.enqueue,
-            event_out=sim.engine_event(device),
-        )
-
-
-class _SafetyDevice:
-    def __init__(self, sim: "Simulation", cfg: DeviceConfig) -> None:
-        self.cfg = cfg
-        device = cfg.device_id.value
-        self.client = SyncClient(
-            clock=sim.clock,
-            transport=SimTransport(
-                sim.clock,
-                sim.network,
-                sim.sink_port,
-                sim.token,
-                split_rng(sim.scenario.seed, f"net-sync/{device}"),
-                timeout_s=cfg.send_timeout_s,
-            ),
-            policy=cfg.retry,
-            queue=OutboxQueue(cfg.outbox.capacity, cfg.outbox.overflow),
-            on_event=sim.device_event(device),
-        )
-        self.monitor = SafetyMonitor(
-            device_id=cfg.device_id,
-            location=cfg.location,
-            params=cfg.flame_params,
-            kalman_q=cfg.kalman_q,
-            kalman_r=cfg.kalman_r,
-            record_out=self.client.enqueue,
-            event_out=sim.device_event(device),
-        )
+        if cfg.role == "access":
+            self.engine = AccessEngine(
+                device_id=cfg.device_id,
+                location=cfg.location,
+                clock=sim.clock,
+                cloud=SimCloudClient(
+                    sim.clock,
+                    sim.network,
+                    sim.sink_port,
+                    sim.token,
+                    split_rng(sim.scenario.seed, f"net-auth/{device}"),
+                ),
+                config=cfg.auth,
+                cache=PolicyCache(cfg.auth.cache_capacity),
+                record_out=self.client.enqueue,
+                event_out=events,
+            )
+        else:
+            self.monitor = SafetyMonitor(
+                device_id=cfg.device_id,
+                location=cfg.location,
+                params=cfg.flame_params,
+                kalman_q=cfg.kalman_q,
+                kalman_r=cfg.kalman_r,
+                record_out=self.client.enqueue,
+                event_out=events,
+            )
 
 
 class Simulation:
     """Binds devices, network, sink, workloads and fault schedules for one run."""
-
-    # Engine decision events are rewritten by the harness with request ids.
-    _ENGINE_SKIP = frozenset({"auth_decision", "rejected_input", "gate_busy"})
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
@@ -523,13 +506,11 @@ class Simulation:
             }
         )
         self._authz = {p.uid: p for p in scenario.authz}
-        self.access_devices: list[_AccessDevice] = []
-        self.safety_devices: list[_SafetyDevice] = []
-        for cfg in scenario.devices:
-            if cfg.role == "access":
-                self.access_devices.append(_AccessDevice(self, cfg))
-            else:
-                self.safety_devices.append(_SafetyDevice(self, cfg))
+        # Access devices first: scheduling order sets same-instant tie order.
+        self.devices = [
+            _Device(self, cfg)
+            for cfg in sorted(scenario.devices, key=lambda c: c.role != "access")
+        ]
 
     # -- trace plumbing ------------------------------------------------------
 
@@ -542,17 +523,9 @@ class Simulation:
 
         return hook
 
-    def engine_event(self, device: str):
-        def hook(kind: str, data: dict) -> None:
-            if kind in self._ENGINE_SKIP:
-                return
-            self.emit(kind, {"device": device, **data})
-
-        return hook
-
     # -- schedule construction -------------------------------------------------
 
-    def _schedule_access(self, dev: _AccessDevice) -> None:
+    def _schedule_access(self, dev: _Device) -> None:
         device = dev.cfg.device_id.value
         arrivals = generate_arrivals(
             device,
@@ -569,46 +542,19 @@ class Simulation:
                 lambda a=arrival, d=dev: self._on_arrival(d, a),
             )
 
-    def _on_arrival(self, dev: _AccessDevice, arrival: _Arrival) -> None:
-        device = dev.cfg.device_id.value
+    def _on_arrival(self, dev: _Device, arrival: _Arrival) -> None:
         self.emit(
             "card_read",
             {
-                "device": device,
+                "device": dev.cfg.device_id.value,
                 "request_id": arrival.request_id,
                 "raw_uid": arrival.raw_uid,
                 "intended_uid": arrival.intended_uid,
             },
         )
+        dev.engine.handle_request(arrival.raw_uid, request_id=arrival.request_id)
 
-        def on_result(result) -> None:
-            self.emit(
-                "auth_decision",
-                {
-                    "device": device,
-                    "request_id": arrival.request_id,
-                    "uid": result.uid.value,
-                    "outcome": result.outcome.value,
-                    "source": result.source.value,
-                    "latency_ms": result.decision_latency_ms,
-                },
-            )
-
-        disposition = dev.engine.handle_request(arrival.raw_uid, on_result)
-        if disposition is RequestDisposition.REJECTED_INPUT:
-            self.emit(
-                "rejected_input",
-                {"device": device, "request_id": arrival.request_id,
-                 "raw_uid": arrival.raw_uid},
-            )
-        elif disposition is RequestDisposition.GATE_BUSY:
-            self.emit(
-                "gate_busy",
-                {"device": device, "request_id": arrival.request_id,
-                 "raw_uid": arrival.raw_uid},
-            )
-
-    def _schedule_safety(self, dev: _SafetyDevice) -> None:
+    def _schedule_safety(self, dev: _Device) -> None:
         device = dev.cfg.device_id.value
         duration = self.scenario.duration_s
         flame = self.scenario.workload.flame
@@ -659,12 +605,12 @@ class Simulation:
                 )
                 t += period
 
-    def _flame_sample(self, dev: _SafetyDevice, t: float, rng: random.Random) -> None:
+    def _flame_sample(self, dev: _Device, t: float, rng: random.Random) -> None:
         intensity, ambient = _flame_value(self.scenario.workload.flame, t, rng)
         dev.monitor.on_flame_sample(intensity, ambient, self.clock.now_ts())
 
     def _flow_sample(
-        self, dev: _SafetyDevice, t: float, magnitude: float, rng: random.Random
+        self, dev: _Device, t: float, magnitude: float, rng: random.Random
     ) -> None:
         cfg = self.scenario.workload.flow
         flow = cfg.baseline_lpm
@@ -700,14 +646,15 @@ class Simulation:
     def run(self) -> tuple[EventTrace, "metrics_mod.MetricsReport"]:
         try:
             self.emit("sim_start", {"seed": self.scenario.seed})
-            for dev in self.access_devices:
-                self._schedule_access(dev)
-            for dev in self.safety_devices:
-                self._schedule_safety(dev)
+            for dev in self.devices:
+                if dev.cfg.role == "access":
+                    self._schedule_access(dev)
+                else:
+                    self._schedule_safety(dev)
             self._schedule_faults()
             # Sensor ground truth is schedule-derived and shared by every
             # safety device, so record it once.
-            if self.safety_devices:
+            if any(dev.cfg.role == "safety" for dev in self.devices):
                 flame = self.scenario.workload.flame
                 if flame.sample_period_s > 0:
                     for ep in flame.episodes:
@@ -722,7 +669,7 @@ class Simulation:
                         if t < self.scenario.duration_s:
                             self.truth.flow_anomaly_times.append(t)
             self.clock.run_until(self.scenario.duration_s)
-            for dev in self.access_devices + self.safety_devices:
+            for dev in self.devices:
                 self.emit(
                     "queue_final",
                     {

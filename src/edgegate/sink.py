@@ -58,9 +58,6 @@ class SheetTable:
     def rows(self) -> tuple[SheetRow, ...]:
         return tuple(self._rows)
 
-    def seen_keys(self) -> frozenset[str]:
-        return frozenset(self._seen)
-
     def append(self, record: CloudRecord, received_at: Timestamp) -> int:
         """Append unless the idempotency key was already stored; either way
         the returned index is the row holding this key."""

@@ -174,6 +174,7 @@ class SchedulerPort(Protocol):
     def now(self) -> float: ...
     def now_ts(self) -> Timestamp: ...
     def schedule(self, delay_s: float, fn: Callable[[], None]): ...
+    def cancel(self, handle) -> None: ...
     def run_next(self) -> bool: ...
 
 
@@ -318,18 +319,6 @@ class SyncClient:
             if steps >= max_events:
                 raise SyncError("flush exceeded its event budget; transport likely stuck")
         return self.receipts[start:]
-
-
-def enqueue(queue: OutboxQueue, record: CloudRecord, now: float = 0.0) -> None:
-    """Bare queue append with the queue's overflow policy applied."""
-    queue.enqueue(record, now)
-
-
-def flush(
-    client: SyncClient, max_events: int = 10_000_000
-) -> list[DeliveryReceipt]:
-    """Drain a client's queue through its transport; see SyncClient.flush."""
-    return client.flush(max_events=max_events)
 
 
 def queue_depth(queue: OutboxQueue) -> int:

@@ -27,6 +27,19 @@ class WireError(Exception):
     """Framing or protocol failure on the socket path."""
 
 
+# Error code on the wire <-> sink-side exception. A subclass precedes its
+# base (UnknownEventTypeError is a SchemaError) so the server picks the
+# most specific code.
+_ERROR_CODES: tuple[tuple[str, type[Exception]], ...] = (
+    ("unauthorized", UnauthorizedError),
+    ("unavailable", UnavailableError),
+    ("unknown_event_type", codec.UnknownEventTypeError),
+    ("parse", codec.ParseError),
+    ("schema", codec.SchemaError),
+)
+_MAPPED_ERRORS = tuple(cls for _, cls in _ERROR_CODES)
+
+
 def write_frame(sock: socket.socket, obj: dict) -> None:
     body = json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
@@ -55,11 +68,14 @@ def read_frame(sock: socket.socket) -> dict | None:
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
+    """Exactly ``n`` bytes; None on EOF before the first byte."""
     chunks = b""
     while len(chunks) < n:
         part = sock.recv(n - len(chunks))
         if not part:
-            return None if not chunks else None
+            if chunks:
+                raise WireError("connection closed mid-frame")
+            return None
         chunks += part
     return chunks
 
@@ -90,16 +106,9 @@ def _handle_request(sink: CloudSink, clock: ClockPort, request: dict) -> dict:
         if op == "EXPORT":
             return {"ok": True, "csv": sink.export_csv().decode("utf-8")}
         return _err("bad_request", f"unknown op: {op!r}")
-    except UnauthorizedError as exc:
-        return _err("unauthorized", str(exc))
-    except UnavailableError as exc:
-        return _err("unavailable", str(exc))
-    except codec.UnknownEventTypeError as exc:
-        return _err("unknown_event_type", str(exc))
-    except codec.ParseError as exc:
-        return _err("parse", str(exc))
-    except codec.SchemaError as exc:
-        return _err("schema", str(exc))
+    except _MAPPED_ERRORS as exc:
+        code = next(code for code, cls in _ERROR_CODES if isinstance(exc, cls))
+        return _err(code, str(exc))
 
 
 def _err(code: str, message: str) -> dict:
@@ -237,14 +246,7 @@ class RemoteSink:
             return
         code = response.get("error")
         message = str(response.get("message", ""))
-        if code == "unauthorized":
-            raise UnauthorizedError(message)
-        if code == "unavailable":
-            raise UnavailableError(message)
-        if code == "unknown_event_type":
-            raise codec.UnknownEventTypeError(message)
-        if code == "parse":
-            raise codec.ParseError(message)
-        if code == "schema":
-            raise codec.SchemaError(message)
+        for known, cls in _ERROR_CODES:
+            if code == known:
+                raise cls(message)
         raise WireError(f"{code}: {message}")

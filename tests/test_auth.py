@@ -353,6 +353,42 @@ class TestAccessEngine:
         buzz = [d for k, d in events if k == "buzzer"]
         assert buzz == [{"pattern": "denied_triple_beep"}]
 
+    def test_decision_events_carry_request_id(self):
+        engine, clock, cloud, records, events = make_engine()
+        engine.cache.update(Uid("A1B2C3D4"), office_policy(), clock.now_ts(), 3600)
+        engine.handle_request("xyz", request_id="r0")
+        engine.handle_request("A1B2C3D4", request_id="r1")
+        engine.handle_request("A1B2C3D4", request_id="r2")  # gate still open
+        decisions = [(k, d) for k, d in events if k != "gate_open"]
+        assert decisions == [
+            ("rejected_input", {"request_id": "r0", "raw_uid": "xyz"}),
+            (
+                "auth_decision",
+                {
+                    "request_id": "r1",
+                    "uid": "A1B2C3D4",
+                    "outcome": "granted",
+                    "source": "cache",
+                    "latency_ms": 0.0,
+                },
+            ),
+            ("gate_busy", {"request_id": "r2", "raw_uid": "A1B2C3D4"}),
+        ]
+
+    @pytest.mark.parametrize("uid, actuator", [("A1B2C3D4", "gate_open"), ("FFFFFFFF", "buzzer")])
+    def test_auth_decision_follows_actuator_and_precedes_on_result(self, uid, actuator):
+        engine, clock, cloud, records, events = make_engine()
+        cloud.scripts["A1B2C3D4"] = ("policy", office_policy(), 0.5)
+        cloud.scripts["FFFFFFFF"] = ("not_found", 0.5)
+        engine.handle_request(
+            uid, lambda result: events.append(("on_result", {})), request_id="r7"
+        )
+        clock.run_until(clock.now() + 1)
+        kinds = [k for k, _ in events]
+        assert kinds == [actuator, "auth_decision", "on_result"]
+        assert events[1][1]["request_id"] == "r7"
+        assert events[1][1]["source"] == "cloud"
+
     def test_exactly_one_record_per_wellformed_request(self):
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["A1B2C3D4"] = ("policy", office_policy(), 0.5)

@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.safety import (
@@ -224,6 +224,7 @@ class TestFlowAnomaly:
         ),
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     )
+    @example(values=[5e-324] + [0.0] * 29, probe=0.0)
     def test_agrees_with_brute_force(self, values, probe):
         w = RollingWindow()
         for v in values:
@@ -232,6 +233,13 @@ class TestFlowAnomaly:
         mean = sum(tail) / 30.0
         sigma = math.sqrt(sum((x - mean) ** 2 for x in tail) / 30.0)
         assert flow_anomaly(w, probe) == (abs(probe - mean) > 3.0 * sigma)
+
+    def test_subnormal_residue_leaves_no_false_alarm(self):
+        w = RollingWindow()
+        for v in [5e-324] + [0.0] * 29:
+            w.push(v)
+        assert w.mean == 0.0 and w.stddev == 0.0
+        assert not flow_anomaly(w, 0.0)
 
 
 class TestKalman:

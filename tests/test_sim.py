@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from edgegate.auth import Outcome, check_temporal
+from edgegate.auth import AccessEngine, DecisionSource, Outcome, check_temporal
+from edgegate.codec import CloudRecord
 from edgegate.core import DeviceId, Timestamp
 from edgegate.scenario import (
     ArrivalConfig,
@@ -22,15 +23,19 @@ from edgegate.sim import (
     NetworkModel,
     OverlappingPartitionError,
     SimClock,
+    SimCloudClient,
     SimError,
+    SimTransport,
     Simulation,
     inject_partition,
     run,
     sample_latency,
     split_rng,
 )
-from edgegate.sync import RetryPolicy
+from edgegate.sink import DEFAULT_TOKEN, CloudSink
+from edgegate.sync import RetryPolicy, SyncClient
 from edgegate.trace import EventTrace, GroundTruth
+from edgegate.wire import RemoteSink, SinkServer
 
 from conftest import always_open_policy
 
@@ -125,6 +130,51 @@ class TestNetworkModel:
         assert model.drop_probability(50.0) == 0.1
         assert model.drop_probability(150.0) == 0.9
         assert model.drop_probability(200.0) == 0.1
+
+    def test_transit_draws_only_what_it_needs(self):
+        model = NetworkModel(partitions=[(10.0, 20.0)], drop_windows=[(30.0, 40.0, 1.0)])
+        rng, ref = random.Random(4), random.Random(4)
+        assert model.transit(15.0, rng) is None  # partition: no draw
+        assert model.transit(35.0, rng) is None  # drop: one draw
+        ref.random()
+        assert model.transit(50.0, rng) == model.sample_latency(ref)  # p=0: no drop draw
+        assert rng.getstate() == ref.getstate()
+
+
+class TestStoppedSocketSink:
+    def test_connection_failure_is_a_nack_and_a_fallback(self):
+        with SinkServer(CloudSink()) as server:
+            address = server.address
+        remote = RemoteSink(*address)
+        clock = SimClock()
+        model = NetworkModel(latency_stddev_s=0.0)
+        events = []
+        client = SyncClient(
+            clock,
+            SimTransport(clock, model, remote, DEFAULT_TOKEN, random.Random(1)),
+            on_event=lambda kind, data: events.append((kind, data)),
+        )
+        engine = AccessEngine(
+            DeviceId("AC_001"),
+            "Main_Entrance",
+            clock,
+            SimCloudClient(clock, model, remote, DEFAULT_TOKEN, random.Random(2)),
+        )
+        results = []
+        try:
+            client.enqueue(CloudRecord(DeviceId("AC_001"), clock.now_ts(), "status", {}, 0))
+            engine.handle_request("A1B2C3D4", results.append)
+            clock.run_until(30.0)
+        finally:
+            remote.close()
+        attempts = [d["attempt"] for k, d in events if k == "send_attempt"]
+        reasons = [d["reason"] for k, d in events if k == "send_failed"]
+        assert attempts[:3] == [1, 2, 3]
+        assert reasons and set(reasons) == {"unavailable"}
+        assert client.queue_depth() == 1
+        # the UNAVAILABLE reply decided, not the 5 s deadline
+        assert results[0].source is DecisionSource.FALLBACK
+        assert results[0].decision_latency_ms == pytest.approx(1200.0)
 
 
 def scenario_base(**overrides) -> Scenario:

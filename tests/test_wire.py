@@ -54,6 +54,16 @@ class TestFraming:
         finally:
             b.close()
 
+    def test_eof_mid_header_is_an_error(self):
+        a, b = socket.socketpair()
+        a.sendall(b"\x00\x00")
+        a.close()
+        try:
+            with pytest.raises(WireError, match="mid-frame"):
+                read_frame(b)
+        finally:
+            b.close()
+
     def test_oversize_frame_rejected(self):
         a, b = socket.socketpair()
         try:
