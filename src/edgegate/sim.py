@@ -3,7 +3,10 @@
 One binary heap of (due time, insertion sequence) callbacks drives every
 component; nothing reads wall time, so a day-long scenario replays in
 wall-clock seconds and two runs of the same scenario produce byte-identical
-traces. Random streams are split per component from the master seed, which
+traces. Workloads (card arrivals, sensor samples, personnel scans, status
+heartbeats) enter the heap as lazy streams that keep only their next event
+queued, so the heap grows with the number of devices, not with simulated
+duration. Random streams are split per component from the master seed, which
 keeps one component's draws stable when another component is added.
 
 The network model layers truncated-normal latency, Bernoulli request/ack
@@ -13,11 +16,12 @@ local-socket) sink.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import codec, metrics as metrics_mod
 from .auth import (
@@ -35,7 +39,6 @@ from .scenario import (
     ArrivalConfig,
     DeviceConfig,
     FlameWorkload,
-    FlowWorkload,
     NetworkConfig,
     Scenario,
 )
@@ -61,11 +64,31 @@ class _Handle:
         self.cancelled = False
 
 
+class _Source:
+    """Heap entry of a lazily scheduled stream. ``fn`` fires the stream's
+    current event and then asks the clock for the one after it."""
+
+    __slots__ = ("fn", "cancelled", "clock", "events", "seq", "event")
+
+    def __init__(self, clock: "SimClock", events: Iterator, seq: int) -> None:
+        self.fn = self._fire
+        self.cancelled = False
+        self.clock = clock
+        self.events = events
+        self.seq = seq
+        self.event: Callable[[], None] | None = None
+
+    def _fire(self) -> None:
+        self.event()
+        self.clock._push_next(self)
+
+
 class SimClock:
     """Virtual clock plus future-event list.
 
     Time only moves when an event fires, and simultaneous events fire in
-    insertion order, making execution a pure function of the schedule.
+    insertion order (a stream from ``add_source`` counts as inserted when it
+    was registered), making execution a pure function of the schedule.
     Internally time is an integer count of microseconds since the clock's
     epoch, so fixed intervals (the 5s gate hold, backoff sleeps) are exact;
     ``now()`` reports seconds relative to the epoch, ``now_ts()`` the
@@ -75,7 +98,7 @@ class SimClock:
     def __init__(self, start: Timestamp | float = 0.0) -> None:
         self._epoch = start.to_epoch() if isinstance(start, Timestamp) else float(start)
         self._now_us = 0
-        self._heap: list[tuple[int, int, _Handle]] = []
+        self._heap: list[tuple[int, int, _Handle | _Source]] = []
         self._counter = itertools.count()
 
     def now(self) -> float:
@@ -91,10 +114,31 @@ class SimClock:
         return self._push(self._now_us + round(delay_s * 1e6), fn)
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> _Handle:
+        return self._push(self._due_us(t), fn)
+
+    def add_source(self, events: Iterable[tuple[float, Callable[[], None]]]) -> None:
+        """Schedule a stream of ``(t, fn)`` events, in time order, lazily.
+
+        Only the stream's next event sits in the heap; firing it pulls the
+        one after. Every event of the stream shares the sequence number
+        drawn here, so same-instant ties resolve as if each event had been
+        pushed now: streams in registration order, all of them before
+        anything scheduled later. A time earlier than the clock raises
+        ``SimError`` when the stream reaches it.
+        """
+        self._push_next(_Source(self, iter(events), next(self._counter)))
+
+    def _push_next(self, source: _Source) -> None:
+        event = next(source.events, None)
+        if event is not None:
+            t, source.event = event
+            heapq.heappush(self._heap, (self._due_us(t), source.seq, source))
+
+    def _due_us(self, t: float) -> int:
         due_us = round(t * 1e6)
         if due_us < self._now_us:
             raise SimError(f"cannot schedule into the past: {t} < {self.now()}")
-        return self._push(due_us, fn)
+        return due_us
 
     def _push(self, due_us: int, fn: Callable[[], None]) -> _Handle:
         handle = _Handle(fn)
@@ -102,7 +146,11 @@ class SimClock:
         return handle
 
     def cancel(self, handle: _Handle) -> None:
+        # The entry stays in the heap until due; dropping the callback now
+        # frees what it holds and breaks the cycle formed by a callback that
+        # cancels its own handle (the send timeout).
         handle.cancelled = True
+        handle.fn = None
 
     def pending(self) -> int:
         return sum(1 for _, _, h in self._heap if not h.cancelled)
@@ -280,9 +328,10 @@ class SimTransport:
         def finish(outcome: SendOutcome) -> None:
             if not done[0]:
                 done[0] = True
+                self._clock.cancel(timeout)
                 on_result(outcome)
 
-        self._clock.schedule(self.timeout_s, lambda: finish(SendTimeout()))
+        timeout = self._clock.schedule(self.timeout_s, lambda: finish(SendTimeout()))
         latency = self._model.transit(self._clock.now(), self._rng)
         if latency is None:
             return
@@ -309,9 +358,11 @@ class SimTransport:
 
 
 # ---------------------------------------------------------------------------
-# Workload generation. Arrivals and sensor schedules are fully derived from
-# the scenario seed before the clock starts, so the ground truth exists
-# independently of anything the engines later decide.
+# Workload generation. Arrivals and their labels are drawn from the scenario
+# seed before the clock starts, so the ground truth exists independently of
+# anything the engines later decide. Each arrival list, sensor channel, scan
+# list and heartbeat is then handed to the clock as one lazy stream, so the
+# event heap holds one entry per stream, not one per sample.
 
 
 @dataclass(frozen=True)
@@ -415,6 +466,18 @@ def _flame_value(cfg: FlameWorkload, t: float, rng: random.Random) -> tuple[floa
         else cfg.ambient_base,
     )
     return intensity, ambient
+
+
+def _periodic(
+    period: float, duration: float, fire: Callable[[int, float], None], first: int = 0
+) -> Iterator[tuple[float, Callable[[], None]]]:
+    """Events at every ``t = k * period < duration`` from ``k = first``; each
+    calls ``fire(k, t)``. The last step is kept when ``duration`` is not a
+    multiple of ``period``."""
+    k = first
+    while (t := k * period) < duration:
+        yield t, functools.partial(fire, k, t)
+        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +600,10 @@ class Simulation:
         )
         for arrival in arrivals:
             self.truth.request_labels[arrival.request_id] = arrival.label
-            self.clock.schedule_at(
-                arrival.at_s,
-                lambda a=arrival, d=dev: self._on_arrival(d, a),
-            )
+        self.clock.add_source(
+            (arrival.at_s, functools.partial(self._on_arrival, dev, arrival))
+            for arrival in arrivals
+        )
 
     def _on_arrival(self, dev: _Device, arrival: _Arrival) -> None:
         self.emit(
@@ -555,69 +618,56 @@ class Simulation:
         dev.engine.handle_request(arrival.raw_uid, request_id=arrival.request_id)
 
     def _schedule_safety(self, dev: _Device) -> None:
+        """One stream each for flame samples, flow samples, personnel scans
+        and status heartbeats; their registration order is their tie order."""
         device = dev.cfg.device_id.value
         duration = self.scenario.duration_s
+        monitor = dev.monitor
+        now_ts = self.clock.now_ts
         flame = self.scenario.workload.flame
         if flame.sample_period_s > 0:
-            rng = split_rng(self.scenario.seed, f"flame/{device}")
-            steps = int(duration / flame.sample_period_s)
-            for k in range(steps):
-                t = k * flame.sample_period_s
-                if t >= duration:
-                    break
-                self.clock.schedule_at(
-                    t,
-                    lambda tt=t, d=dev, r=rng: self._flame_sample(d, tt, r),
-                )
+            flame_rng = split_rng(self.scenario.seed, f"flame/{device}")
+
+            def read_flame(k: int, t: float) -> None:
+                intensity, ambient = _flame_value(flame, t, flame_rng)
+                monitor.on_flame_sample(intensity, ambient, now_ts())
+
+            self.clock.add_source(_periodic(flame.sample_period_s, duration, read_flame))
 
         flow = self.scenario.workload.flow
         if flow.sample_period_s > 0:
-            rng = split_rng(self.scenario.seed, f"flow/{device}")
+            flow_rng = split_rng(self.scenario.seed, f"flow/{device}")
             anomaly_steps = {
                 int(round(a.at_s / flow.sample_period_s)): a.magnitude_lpm
                 for a in flow.anomalies
             }
-            steps = int(duration / flow.sample_period_s)
-            for k in range(steps):
-                t = k * flow.sample_period_s
-                if t >= duration:
-                    break
-                magnitude = anomaly_steps.get(k, 0.0)
-                self.clock.schedule_at(
-                    t,
-                    lambda tt=t, m=magnitude, d=dev, r=rng: self._flow_sample(d, tt, m, r),
-                )
-        for scan in self.scenario.workload.personnel_scans:
-            if scan.at_s < duration:
-                self.clock.schedule_at(
-                    scan.at_s,
-                    lambda s=scan, d=dev: d.monitor.on_personnel_scan(
-                        s.uid, self.clock.now_ts()
-                    ),
-                )
+
+            def read_flow(k: int, t: float) -> None:
+                value = flow.baseline_lpm
+                if flow.noise_stddev > 0:
+                    value += flow_rng.gauss(0.0, flow.noise_stddev)
+                value = max(0.0, value + anomaly_steps.get(k, 0.0))
+                monitor.on_flow_sample(value, now_ts())
+
+            self.clock.add_source(_periodic(flow.sample_period_s, duration, read_flow))
+
+        scans = sorted(
+            (s for s in self.scenario.workload.personnel_scans if s.at_s < duration),
+            key=lambda s: s.at_s,
+        )
+        self.clock.add_source(
+            (s.at_s, lambda uid=s.uid: monitor.on_personnel_scan(uid, now_ts()))
+            for s in scans
+        )
         if dev.cfg.status_period_s > 0:
-            period = dev.cfg.status_period_s
-            t = period
-            while t < duration:
-                self.clock.schedule_at(
-                    t,
-                    lambda d=dev: d.monitor.heartbeat(self.clock.now_ts()),
+            self.clock.add_source(
+                _periodic(
+                    dev.cfg.status_period_s,
+                    duration,
+                    lambda k, t: monitor.heartbeat(now_ts()),
+                    first=1,
                 )
-                t += period
-
-    def _flame_sample(self, dev: _Device, t: float, rng: random.Random) -> None:
-        intensity, ambient = _flame_value(self.scenario.workload.flame, t, rng)
-        dev.monitor.on_flame_sample(intensity, ambient, self.clock.now_ts())
-
-    def _flow_sample(
-        self, dev: _Device, t: float, magnitude: float, rng: random.Random
-    ) -> None:
-        cfg = self.scenario.workload.flow
-        flow = cfg.baseline_lpm
-        if cfg.noise_stddev > 0:
-            flow += rng.gauss(0.0, cfg.noise_stddev)
-        flow = max(0.0, flow + magnitude)
-        dev.monitor.on_flow_sample(flow, self.clock.now_ts())
+            )
 
     def _schedule_faults(self) -> None:
         for start, end in self.network.partitions:

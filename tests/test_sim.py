@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from edgegate.auth import AccessEngine, DecisionSource, Outcome, check_temporal
-from edgegate.codec import CloudRecord
+from edgegate.codec import CloudRecord, encode
 from edgegate.core import DeviceId, Timestamp
 from edgegate.scenario import (
     ArrivalConfig,
@@ -18,6 +22,7 @@ from edgegate.scenario import (
     Scenario,
     SinkConfig,
     WorkloadConfig,
+    load_scenario,
 )
 from edgegate.sim import (
     NetworkModel,
@@ -32,12 +37,15 @@ from edgegate.sim import (
     sample_latency,
     split_rng,
 )
+from edgegate.safety import SafetyMonitor
 from edgegate.sink import DEFAULT_TOKEN, CloudSink
-from edgegate.sync import RetryPolicy, SyncClient
+from edgegate.sync import Ack, RetryPolicy, SyncClient
 from edgegate.trace import EventTrace, GroundTruth
 from edgegate.wire import RemoteSink, SinkServer
 
 from conftest import always_open_policy
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestSimClock:
@@ -83,6 +91,72 @@ class TestSimClock:
         clock = SimClock(start)
         clock.run_until(90.25)
         assert clock.now_ts() == start.add_seconds(90.25)
+
+    @given(
+        streams=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=8).map(sorted),
+            ),
+            max_size=6,
+        )
+    )
+    def test_lazy_streams_fire_as_if_pushed_up_front(self, streams):
+        """Each stream is registered lazily or, when its flag is set, pushed
+        event by event; the reference pushes every event up front. Callbacks
+        that spawn dynamic events at the same instant and 5 s later must
+        interleave identically."""
+
+        def fire_order(lazy: bool) -> list:
+            clock = SimClock(0.0)
+            fired = []
+
+            def event(label, spawn):
+                def fn():
+                    fired.append((clock.now(), label))
+                    if spawn:
+                        clock.schedule(0.0, lambda: fired.append((clock.now(), label + ("now",))))
+                        clock.schedule(5.0, lambda: fired.append((clock.now(), label + ("+5",))))
+
+                return fn
+
+            for i, (pushed, events) in enumerate(streams):
+                stream = [(float(t), event((i, j), spawn)) for j, (t, spawn) in enumerate(events)]
+                if lazy and not pushed:
+                    clock.add_source(stream)
+                else:
+                    for t, fn in stream:
+                        clock.schedule_at(t, fn)
+            assert clock.pending() == sum(
+                len(events) if pushed or not lazy else min(len(events), 1)
+                for pushed, events in streams
+            )
+            clock.run_until(30.0)
+            assert clock.pending() == 0
+            return fired
+
+        assert fire_order(lazy=True) == fire_order(lazy=False)
+
+    def test_stream_time_in_the_past_rejected(self):
+        clock = SimClock(0.0)
+        clock.add_source([(2.0, lambda: None), (1.0, lambda: None)])
+        with pytest.raises(SimError):
+            clock.run_until(5.0)
+        clock = SimClock(0.0)
+        clock.run_until(10.0)
+        with pytest.raises(SimError):
+            clock.add_source(iter([(5.0, lambda: None)]))
+
+    def test_acked_send_cancels_its_timeout(self):
+        clock = SimClock()
+        model = NetworkModel(latency_stddev_s=0.0)
+        transport = SimTransport(clock, model, CloudSink(), DEFAULT_TOKEN, random.Random(1))
+        record = CloudRecord(DeviceId("AC_001"), clock.now_ts(), "status", {}, 0)
+        outcomes = []
+        transport.send(encode(record), outcomes.append)
+        clock.run_until(2.0)  # latency 1.2 s; the timeout would fire at 5 s
+        assert [type(o) for o in outcomes] == [Ack]
+        assert clock.pending() == 0
 
 
 class TestNetworkModel:
@@ -390,3 +464,56 @@ class TestTraceSerialization:
         trace, _ = run(scenario_base())
         order = [(e.t, e.seq) for e in trace.events]
         assert order == sorted(order)
+
+
+def pending_at_start(scenario: Scenario, monkeypatch) -> int:
+    seen = []
+    run_until = SimClock.run_until
+
+    def recording(clock, t_end):
+        seen.append(clock.pending())
+        return run_until(clock, t_end)
+
+    monkeypatch.setattr(SimClock, "run_until", recording)
+    run(scenario)
+    return seen[0]
+
+
+class TestLazyWorkload:
+    def test_heap_grows_with_streams_not_duration(self, monkeypatch):
+        base = load_scenario(SCENARIOS / "safety_basic.yaml")
+        short = pending_at_start(dataclasses.replace(base, duration_s=1800.0), monkeypatch)
+        long = pending_at_start(dataclasses.replace(base, duration_s=3600.0), monkeypatch)
+        assert short == long
+        assert long <= 4  # flame, flow, scans, heartbeats of the one monitor
+
+    def test_last_sample_before_an_uneven_end_is_taken(self, monkeypatch):
+        base = load_scenario(SCENARIOS / "safety_basic.yaml")
+        workload = dataclasses.replace(
+            base.workload,
+            flame=dataclasses.replace(base.workload.flame, sample_period_s=3.0),
+            flow=dataclasses.replace(
+                base.workload.flow,
+                sample_period_s=3.0,
+                anomalies=(FlowAnomalySpec(at_s=99.0, magnitude_lpm=18.0),),
+            ),
+        )
+        scenario = dataclasses.replace(base, duration_s=100.0, workload=workload)
+        calls = {"flame": 0, "flow": 0}
+        on_flame, on_flow = SafetyMonitor.on_flame_sample, SafetyMonitor.on_flow_sample
+
+        def count_flame(monitor, *args):
+            calls["flame"] += 1
+            return on_flame(monitor, *args)
+
+        def count_flow(monitor, *args):
+            calls["flow"] += 1
+            return on_flow(monitor, *args)
+
+        monkeypatch.setattr(SafetyMonitor, "on_flame_sample", count_flame)
+        monkeypatch.setattr(SafetyMonitor, "on_flow_sample", count_flow)
+        trace, report = run(scenario)
+        assert calls == {"flame": math.ceil(100 / 3), "flow": math.ceil(100 / 3)}
+        assert trace.meta["truth"]["flow_anomaly_times"] == [99.0]
+        assert report.detection["flow_anomalies_detected"] == 1
+        assert report.detection["flow_recall"] == 1.0
