@@ -52,6 +52,10 @@ class DecisionSource(Enum):
     FALLBACK = "fallback"
 
 
+# What the buzzer plays on a denial.
+BUZZER_PATTERN = "denied_triple_beep"
+
+
 class FallbackMode(Enum):
     DENY = "deny"
     GRANT_IF_PREVIOUSLY_GRANTED = "grant_if_previously_granted"
@@ -60,9 +64,8 @@ class FallbackMode(Enum):
 @dataclass(frozen=True)
 class AuthConfig:
     """Engine timing and gate geometry. Defaults follow the deployed setup:
-    5s entry window, 100ms detection budget, day-long cache TTL."""
+    5s entry window, 5s cloud deadline, day-long cache TTL."""
 
-    t_detection_ms: float = 100.0
     t_entry_s: float = 5.0
     t_timeout_ms: float = 5000.0
     cache_ttl_s: float = 86400.0
@@ -70,11 +73,9 @@ class AuthConfig:
     closed_angle_deg: int = 0
     fallback_mode: FallbackMode = FallbackMode.DENY
     cache_capacity: int = 256
-    buzzer_pattern: str = "denied_triple_beep"
 
     def __post_init__(self) -> None:
         for name, v in (
-            ("t_detection_ms", self.t_detection_ms),
             ("t_entry_s", self.t_entry_s),
             ("t_timeout_ms", self.t_timeout_ms),
             ("cache_ttl_s", self.cache_ttl_s),
@@ -83,6 +84,12 @@ class AuthConfig:
                 raise AuthError(f"{name} must be > 0, got {v}")
         if self.cache_capacity < 1:
             raise AuthError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
+        for name, angle in (
+            ("open_angle_deg", self.open_angle_deg),
+            ("closed_angle_deg", self.closed_angle_deg),
+        ):
+            if not 0 <= angle <= 180:
+                raise AuthError(f"{name} must be in [0, 180], got {angle}")
 
 
 @dataclass(frozen=True)
@@ -446,7 +453,7 @@ class AccessEngine:
             self._emit_event("gate_open", {"angle_deg": self.gate.angle_deg})
             self._clock.schedule(self.config.t_entry_s, self._close_gate)
         else:
-            self._emit_event("buzzer", {"pattern": self.config.buzzer_pattern})
+            self._emit_event("buzzer", {"pattern": BUZZER_PATTERN})
             self._busy = False
         # After the actuator event, so the trace shows the gate reacting first.
         self._emit_event(

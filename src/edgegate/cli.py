@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from . import sim
-from .scenario import ConfigError, load_scenario
+from .scenario import ConfigError, Scenario, load_scenario
 from .sink import DEFAULT_TOKEN, state_to_csv
 from .trace import EventTrace, GroundTruth, TraceError
 from .wire import SinkServer
@@ -66,11 +66,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load(path: str) -> Scenario | None:
+    """The scenario at ``path``, or None after saying why it is unusable."""
     try:
-        scenario = load_scenario(args.scenario)
-    except (ConfigError, OSError) as exc:
+        return load_scenario(path)
+    except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read scenario: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load(args.scenario)
+    if scenario is None:
         return 1
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -118,13 +127,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
+    scenario = _load(args.scenario)
+    if scenario is None:
         return 1
     print(
         f"ok: {len(scenario.devices)} device(s), {len(scenario.authz)} polic(ies), "
@@ -139,10 +143,8 @@ def _cmd_serve_sink(args: argparse.Namespace) -> int:
 
     sink = CloudSink(token)
     if args.scenario:
-        try:
-            scenario = load_scenario(args.scenario)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
+        scenario = _load(args.scenario)
+        if scenario is None:
             return 1
         sink.seed_policies(list(scenario.authz))
     server = SinkServer(sink, host=args.host, port=args.port)

@@ -1,27 +1,38 @@
 """Scenario files: seeded, human-editable descriptions of devices, workload,
 authorization seeds and fault schedules for the simulator.
 
-A scenario is a YAML document whose sections mirror these dataclasses
-one-to-one. Every key has a default; an empty document is a valid (if inert)
-scenario. Validation collects every problem it can find and reports them
-together with field paths, rather than failing one key at a time.
+The dataclasses below are the scenario schema. Each YAML mapping is read
+into one of them: every key is a field, the field's default is the key's
+default, and a number's bounds are declared next to its field. Invariants
+that span fields (intervals, disjoint faults, unique ids) live in the types'
+own ``__post_init__`` and are checked once a mapping's fields have parsed.
+One reader walks the fields and reports, each with its field path, every
+unknown key at any level, every missing required key, every value of the
+wrong type or out of bounds, and every broken invariant, together rather
+than one at a time. An empty document is a valid (if inert) scenario.
+
+An ``authz[]`` item is read through ``_PolicyKeys`` before it becomes an
+``AccessPolicy``, because its time-of-day and weekday syntax, and its
+all-day, every-day default, differ from ``AccessPolicy``'s fields.
 """
 
-from __future__ import annotations
-
+import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
+from typing import Callable, Literal
 
 import yaml
 
-from .auth import AuthConfig, FallbackMode
+from .auth import AuthConfig, AuthError
 from .core import (
     ALL_DAYS,
     SECONDS_PER_DAY,
     AccessPolicy,
-    CoreError,
     DeviceId,
-    PolicyError,
     Timestamp,
     Uid,
     Weekday,
@@ -39,52 +50,77 @@ class ConfigError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {i}" for i in issues))
 
 
+def _bounded(default=dataclasses.MISSING, *, lo=None, hi=None):
+    """A numeric field whose scenario value must lie in ``[lo, hi]``."""
+    return field(default=default, metadata={"bounds": (lo, hi)})
+
+
 @dataclass(frozen=True)
 class ArrivalConfig:
     """Card-presentation process for access devices."""
 
-    process: str = "poisson"  # or "uniform": evenly spaced at 1/rate
-    rate_per_s: float = 0.0
-    authorized_fraction: float = 1.0
-    malformed_fraction: float = 0.0
-    misread_false_accept: float = 0.0
-    misread_false_reject: float = 0.0
+    process: Literal["poisson", "uniform"] = "poisson"  # uniform: evenly spaced at 1/rate
+    rate_per_s: float = _bounded(0.0, lo=0.0)
+    authorized_fraction: float = _bounded(1.0, lo=0.0, hi=1.0)
+    malformed_fraction: float = _bounded(0.0, lo=0.0, hi=1.0)
+    misread_false_accept: float = _bounded(0.0, lo=0.0, hi=1.0)
+    misread_false_reject: float = _bounded(0.0, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
 class FlameEpisode:
-    start_s: float
-    duration_s: float
-    peak: float = 1500.0
+    start_s: float = _bounded(lo=0.0)
+    duration_s: float = _bounded(lo=0.0)
+    peak: float = _bounded(1500.0, lo=0.0)
 
 
 @dataclass(frozen=True)
 class FlameWorkload:
-    sample_period_s: float = 0.0  # 0 disables the channel
-    baseline: float = 300.0
-    noise_stddev: float = 8.0
-    ambient_base: float = 120.0
-    ambient_noise_stddev: float = 4.0
+    sample_period_s: float = _bounded(0.0, lo=0.0)  # 0 disables the channel
+    baseline: float = _bounded(300.0, lo=0.0)
+    noise_stddev: float = _bounded(8.0, lo=0.0)
+    ambient_base: float = _bounded(120.0, lo=0.0)
+    ambient_noise_stddev: float = _bounded(4.0, lo=0.0)
     episodes: tuple[FlameEpisode, ...] = ()
 
 
 @dataclass(frozen=True)
 class FlowAnomalySpec:
-    at_s: float
+    at_s: float = _bounded(lo=0.0)
     magnitude_lpm: float
 
 
 @dataclass(frozen=True)
 class FlowWorkload:
-    sample_period_s: float = 0.0
-    baseline_lpm: float = 10.0
-    noise_stddev: float = 0.4
+    sample_period_s: float = _bounded(0.0, lo=0.0)  # 0 disables the channel
+    baseline_lpm: float = _bounded(10.0, lo=0.0)
+    noise_stddev: float = _bounded(0.4, lo=0.0)
     anomalies: tuple[FlowAnomalySpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        """Each anomaly disturbs one sample, so no two may share a sample."""
+        if self.sample_period_s <= 0:
+            return
+        first: dict[int, int] = {}
+        issues = []
+        for i, anomaly in enumerate(self.anomalies):
+            j = first.setdefault(self.step_of(anomaly.at_s), i)
+            if j != i:
+                issues.append(
+                    f"anomalies[{i}]: at_s {anomaly.at_s} falls on the same sample as "
+                    f"anomalies[{j}] (at_s {self.anomalies[j].at_s})"
+                )
+        if issues:
+            raise ConfigError(issues)
+
+    def step_of(self, at_s: float) -> int:
+        """Index ``k`` of the sample at ``k * sample_period_s`` nearest ``at_s``."""
+        return round(at_s / self.sample_period_s)
 
 
 @dataclass(frozen=True)
 class PersonnelScanSpec:
-    at_s: float
+    at_s: float = _bounded(lo=0.0)
     uid: Uid
 
 
@@ -98,45 +134,60 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class OutboxConfig:
-    capacity: int = 100_000
-    overflow: str = OverflowPolicy.REJECT_NEW
+    capacity: int = _bounded(100_000, lo=1)
+    overflow: OverflowPolicy = OverflowPolicy.REJECT_NEW
+
+
+@dataclass(frozen=True)
+class KalmanConfig:
+    """Flow smoothing filter: process and measurement noise variance."""
+
+    q: float = _bounded(0.01, lo=0.0)
+    r: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.r <= 0:
+            raise SafetyError(f"measurement noise r must be > 0, got {self.r}")
 
 
 @dataclass(frozen=True)
 class DeviceConfig:
     device_id: DeviceId
-    role: str  # "access" or "safety"
+    role: Literal["access", "safety"]
     location: str = "Main_Entrance"
     auth: AuthConfig = field(default_factory=AuthConfig)
     flame_params: FlameParams = field(default_factory=FlameParams)
-    kalman_q: float = 0.01
-    kalman_r: float = 1.0
-    status_period_s: float = 0.0
+    kalman: KalmanConfig = field(default_factory=KalmanConfig)
+    status_period_s: float = _bounded(0.0, lo=0.0)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     outbox: OutboxConfig = field(default_factory=OutboxConfig)
-    send_timeout_s: float = 5.0
+    send_timeout_s: float = _bounded(5.0, lo=0.001)
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    latency_mean_s: float = 1.2
-    latency_stddev_s: float = 0.3
-    latency_floor_s: float = 0.05
-    drop_prob: float = 0.0
-    ack_drop_prob: float = 0.0
+    latency_mean_s: float = _bounded(1.2, lo=0.0)
+    latency_stddev_s: float = _bounded(0.3, lo=0.0)
+    latency_floor_s: float = _bounded(0.05, lo=0.0)
+    drop_prob: float = _bounded(0.0, lo=0.0, hi=1.0)
+    ack_drop_prob: float = _bounded(0.0, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
 class Partition:
-    start_s: float
-    end_s: float
+    """An interval ``[start_s, end_s)`` of simulated time."""
+
+    start_s: float = _bounded(lo=0.0)
+    end_s: float = _bounded(lo=0.0)
+
+    def __post_init__(self) -> None:
+        if self.end_s <= self.start_s:
+            raise ValueError("end_s must exceed start_s")
 
 
 @dataclass(frozen=True)
-class DropWindow:
-    start_s: float
-    end_s: float
-    prob: float
+class DropWindow(Partition):
+    prob: float = _bounded(1.0, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
@@ -145,10 +196,24 @@ class FaultsConfig:
     sink_outages: tuple[Partition, ...] = ()
     drop_windows: tuple[DropWindow, ...] = ()
 
+    def __post_init__(self) -> None:
+        """Sorts partitions and sink outages by start; each must be disjoint."""
+        issues = []
+        for name in ("partitions", "sink_outages"):
+            spans = tuple(sorted(getattr(self, name), key=lambda p: p.start_s))
+            object.__setattr__(self, name, spans)
+            issues += [
+                f"{name}: intervals overlap near t={b.start_s}"
+                for a, b in zip(spans, spans[1:])
+                if b.start_s < a.end_s
+            ]
+        if issues:
+            raise ConfigError(issues)
+
 
 @dataclass(frozen=True)
 class SinkConfig:
-    mode: str = "inprocess"  # or "socket"
+    mode: Literal["inprocess", "socket"] = "inprocess"
     token: str = DEFAULT_TOKEN
 
 
@@ -156,7 +221,7 @@ class SinkConfig:
 class Scenario:
     seed: int = 0
     start_time: Timestamp = Timestamp.from_iso8601("2024-01-15T00:00:00Z")
-    duration_s: float = 3600.0
+    duration_s: float = _bounded(3600.0, lo=0.0)
     devices: tuple[DeviceConfig, ...] = ()
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     authz: tuple[AccessPolicy, ...] = ()
@@ -164,21 +229,160 @@ class Scenario:
     faults: FaultsConfig = field(default_factory=FaultsConfig)
     sink: SinkConfig = field(default_factory=SinkConfig)
 
+    def __post_init__(self) -> None:
+        """Device ids and policy uids are each unique."""
+        issues = []
+        for section, key, ids in (
+            ("devices", "device_id", [d.device_id for d in self.devices]),
+            ("authz", "uid", [p.uid for p in self.authz]),
+        ):
+            seen = set()
+            for i, ident in enumerate(ids):
+                if ident in seen:
+                    issues.append(f"{section}[{i}].{key}: duplicate {ident.value}")
+                seen.add(ident)
+        if issues:
+            raise ConfigError(issues)
+
 
 # ---------------------------------------------------------------------------
-# Parsing helpers. Each helper appends problems to `issues` and returns a
-# best-effort value so one bad key does not mask the next.
+# The reader. A reader turns a YAML value into a value of its type, or raises
+# an error for a problem with the value itself or a ConfigError for every
+# problem inside it. An issue's path is relative to the value that raised it;
+# ": ..." is about the value itself.
+
+_INVALID = (ValueError, AuthError, SyncError)
 
 
-def _parse_time_of_day(value, path: str, issues: list[str]) -> int:
-    """Accept integer seconds-of-day or an HH:MM:SS string."""
-    if isinstance(value, bool):
-        issues.append(f"{path}: expected seconds-of-day or HH:MM:SS, got a boolean")
-        return 0
-    if isinstance(value, int):
+def _nest(path: str, exc: Exception) -> list[str]:
+    """The problems in ``exc``, raised by the value at ``path``, as issues."""
+    issues = exc.issues if isinstance(exc, ConfigError) else [f": {exc}"]
+    return [path + ("" if i[0] in ":[" else ".") + i for i in issues]
+
+
+def _typed(kinds, noun: str, convert) -> Callable:
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"expected {noun}, got {value!r}")
+        return convert(value)
+
+    return read
+
+
+def _choice(choices: tuple, make=lambda v: v) -> Callable:
+    def read(value):
+        if value not in choices:
+            raise ValueError(f"must be {' or '.join(map(repr, choices))}, got {value!r}")
+        return make(value)
+
+    return read
+
+
+def _read_items(item: Callable, value) -> tuple:
+    if value is None:
+        return ()
+    if not isinstance(value, list):
+        raise ValueError("expected a list")
+    items, issues = [], []
+    for i, v in enumerate(value):
+        try:
+            items.append(item(v))
+        except _INVALID as exc:
+            issues += _nest(f"[{i}]", exc)
+    if issues:
+        raise ConfigError(issues)
+    return tuple(items)
+
+
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple]:
+    """Reader, whether required, and (lo, hi) bounds of each key of ``cls``."""
+    fields = dataclasses.fields(cls)
+    hints = {f.name: f.type for f in fields}
+    if any(isinstance(tp, str) for tp in hints.values()):
+        # Postponed annotations (auth, safety and sync use them) cost a
+        # compile per field to resolve, so this module does not postpone its
+        # own: scenario loading is part of every run's set-up time.
+        hints = typing.get_type_hints(cls)
+    return {
+        f.name: (
+            _reader(hints[f.name]),
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            f.metadata.get("bounds", (None, None)),
+        )
+        for f in fields
+    }
+
+
+def _read_fields(cls: type, obj):
+    """Build ``cls`` from a YAML mapping; a null mapping takes every default."""
+    if obj is None:
+        obj = {}
+    if not isinstance(obj, dict):
+        raise ValueError("expected a mapping")
+    schema = _schema(cls)
+    issues = [f": unknown key {key!r}" for key in obj if key not in schema]
+    kwargs = {}
+    for name, (read, required, (lo, hi)) in schema.items():
+        if name not in obj:
+            if required:
+                issues.append(f"{name}: required")
+            continue
+        try:
+            value = read(obj[name])
+            if lo is not None and value < lo:
+                raise ValueError(f"{value} below minimum {lo}")
+            if hi is not None and value > hi:
+                raise ValueError(f"{value} above maximum {hi}")
+        except _INVALID as exc:
+            issues += _nest(name, exc)
+        else:
+            kwargs[name] = value
+    if issues:
+        raise ConfigError(issues)
+    return cls(**kwargs)
+
+
+@functools.cache
+def _reader(tp) -> Callable:
+    """The reader of YAML values of the annotated type ``tp``."""
+    if tp in _LEAF_READERS:
+        return _LEAF_READERS[tp]
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(_read_fields, tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:  # tuple[X, ...]
+        return functools.partial(_read_items, _reader(args[0]))
+    if origin is Literal:
+        return _choice(args)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return _choice(tuple(m.value for m in tp), tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (inner,) = (_reader(a) for a in args if a is not type(None))
+        return lambda value: None if value is None else inner(value)
+    raise TypeError(f"no scenario reader for {tp!r}")
+
+
+# ---------------------------------------------------------------------------
+# Authorization policies: an ``authz[]`` item gives a time of day as seconds
+# or HH:MM:SS, and days by name or as ``all``, which is also the default.
+
+_TimeOfDay = typing.NewType("_TimeOfDay", int)
+_Weekdays = typing.NewType("_Weekdays", frozenset)
+
+
+@dataclass(frozen=True)
+class _PolicyKeys:
+    uid: Uid
+    window_start: _TimeOfDay = 0
+    window_end: _TimeOfDay = SECONDS_PER_DAY - 1
+    allowed_days: _Weekdays = ALL_DAYS
+
+
+def _time_of_day(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
         if not 0 <= value < SECONDS_PER_DAY:
-            issues.append(f"{path}: {value} out of range [0, 86400)")
-            return 0
+            raise ValueError(f"{value} out of range [0, 86400)")
         return value
     if isinstance(value, str):
         parts = value.split(":")
@@ -186,402 +390,41 @@ def _parse_time_of_day(value, path: str, issues: list[str]) -> int:
             h, m, s = (int(p) for p in parts)
             if h < 24 and m < 60 and s < 60:
                 return h * 3600 + m * 60 + s
-        issues.append(f"{path}: bad time of day {value!r}")
-        return 0
-    issues.append(f"{path}: expected seconds-of-day or HH:MM:SS, got {type(value).__name__}")
-    return 0
+        raise ValueError(f"bad time of day {value!r}")
+    raise ValueError(f"expected seconds-of-day or HH:MM:SS, got {value!r}")
 
 
-def _parse_days(value, path: str, issues: list[str]) -> frozenset[Weekday]:
+def _weekdays(value) -> frozenset[Weekday]:
     if value in (None, "all"):
         return ALL_DAYS
     if not isinstance(value, list):
-        issues.append(f"{path}: expected a list of weekday names or 'all'")
-        return frozenset()
-    days = set()
-    for name in value:
-        try:
-            days.add(Weekday.from_name(str(name)))
-        except CoreError:
-            issues.append(f"{path}: unknown weekday {name!r}")
-    return frozenset(days)
+        raise ValueError("expected a list of weekday names or 'all'")
+    return frozenset(Weekday.from_name(str(name)) for name in value)
 
 
-def _number(
-    obj: dict, key: str, default, path: str, issues: list[str], *, lo=None, hi=None
-):
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        issues.append(f"{path}.{key}: expected a number, got {value!r}")
-        return default
-    if lo is not None and value < lo:
-        issues.append(f"{path}.{key}: {value} below minimum {lo}")
-        return default
-    if hi is not None and value > hi:
-        issues.append(f"{path}.{key}: {value} above maximum {hi}")
-        return default
-    return value
-
-
-def _fraction(obj: dict, key: str, default, path: str, issues: list[str]) -> float:
-    return float(_number(obj, key, default, path, issues, lo=0.0, hi=1.0))
-
-
-def _mapping(obj: dict, key: str, path: str, issues: list[str]) -> dict:
-    value = obj.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        issues.append(f"{path}.{key}: expected a mapping")
-        return {}
-    return value
-
-
-def _sequence(obj: dict, key: str, path: str, issues: list[str]) -> list:
-    value = obj.get(key)
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        issues.append(f"{path}.{key}: expected a list")
-        return []
-    return value
-
-
-def _parse_arrival(obj: dict, path: str, issues: list[str]) -> ArrivalConfig:
-    process = obj.get("process", "poisson")
-    if process not in ("poisson", "uniform"):
-        issues.append(f"{path}.process: must be 'poisson' or 'uniform', got {process!r}")
-        process = "poisson"
-    return ArrivalConfig(
-        process=process,
-        rate_per_s=float(_number(obj, "rate_per_s", 0.0, path, issues, lo=0.0)),
-        authorized_fraction=_fraction(obj, "authorized_fraction", 1.0, path, issues),
-        malformed_fraction=_fraction(obj, "malformed_fraction", 0.0, path, issues),
-        misread_false_accept=_fraction(obj, "misread_false_accept", 0.0, path, issues),
-        misread_false_reject=_fraction(obj, "misread_false_reject", 0.0, path, issues),
-    )
-
-
-def _parse_flame(obj: dict, path: str, issues: list[str]) -> FlameWorkload:
-    episodes = []
-    for i, ep in enumerate(_sequence(obj, "episodes", path, issues)):
-        if not isinstance(ep, dict):
-            issues.append(f"{path}.episodes[{i}]: expected a mapping")
-            continue
-        p = f"{path}.episodes[{i}]"
-        episodes.append(
-            FlameEpisode(
-                start_s=float(_number(ep, "start_s", 0.0, p, issues, lo=0.0)),
-                duration_s=float(_number(ep, "duration_s", 0.0, p, issues, lo=0.0)),
-                peak=float(_number(ep, "peak", 1500.0, p, issues, lo=0.0)),
-            )
-        )
-    return FlameWorkload(
-        sample_period_s=float(_number(obj, "sample_period_s", 0.0, path, issues, lo=0.0)),
-        baseline=float(_number(obj, "baseline", 300.0, path, issues, lo=0.0)),
-        noise_stddev=float(_number(obj, "noise_stddev", 8.0, path, issues, lo=0.0)),
-        ambient_base=float(_number(obj, "ambient_base", 120.0, path, issues, lo=0.0)),
-        ambient_noise_stddev=float(
-            _number(obj, "ambient_noise_stddev", 4.0, path, issues, lo=0.0)
-        ),
-        episodes=tuple(episodes),
-    )
-
-
-def _parse_flow(obj: dict, path: str, issues: list[str]) -> FlowWorkload:
-    anomalies = []
-    for i, item in enumerate(_sequence(obj, "anomalies", path, issues)):
-        if not isinstance(item, dict):
-            issues.append(f"{path}.anomalies[{i}]: expected a mapping")
-            continue
-        p = f"{path}.anomalies[{i}]"
-        anomalies.append(
-            FlowAnomalySpec(
-                at_s=float(_number(item, "at_s", 0.0, p, issues, lo=0.0)),
-                magnitude_lpm=float(_number(item, "magnitude_lpm", 0.0, p, issues)),
-            )
-        )
-    return FlowWorkload(
-        sample_period_s=float(_number(obj, "sample_period_s", 0.0, path, issues, lo=0.0)),
-        baseline_lpm=float(_number(obj, "baseline_lpm", 10.0, path, issues, lo=0.0)),
-        noise_stddev=float(_number(obj, "noise_stddev", 0.4, path, issues, lo=0.0)),
-        anomalies=tuple(anomalies),
-    )
-
-
-def _parse_auth(obj: dict, path: str, issues: list[str]) -> AuthConfig:
-    mode_text = obj.get("fallback_mode", "deny")
-    try:
-        mode = FallbackMode(mode_text)
-    except ValueError:
-        issues.append(f"{path}.fallback_mode: unknown mode {mode_text!r}")
-        mode = FallbackMode.DENY
-    capacity = _number(obj, "cache_capacity", 256, path, issues, lo=1)
-    try:
-        return AuthConfig(
-            t_detection_ms=float(_number(obj, "t_detection_ms", 100.0, path, issues)),
-            t_entry_s=float(_number(obj, "t_entry_s", 5.0, path, issues)),
-            t_timeout_ms=float(_number(obj, "t_timeout_ms", 5000.0, path, issues)),
-            cache_ttl_s=float(_number(obj, "cache_ttl_s", 86400.0, path, issues)),
-            open_angle_deg=int(_number(obj, "open_angle_deg", 90, path, issues, lo=0, hi=180)),
-            closed_angle_deg=int(
-                _number(obj, "closed_angle_deg", 0, path, issues, lo=0, hi=180)
-            ),
-            fallback_mode=mode,
-            cache_capacity=int(capacity),
-        )
-    except Exception as exc:  # engine-level invariant failed
-        issues.append(f"{path}: {exc}")
-        return AuthConfig()
-
-
-def _parse_retry(obj: dict, path: str, issues: list[str]) -> RetryPolicy:
-    max_attempts = obj.get("max_attempts")
-    if max_attempts is not None:
-        if isinstance(max_attempts, bool) or not isinstance(max_attempts, int) or max_attempts < 1:
-            issues.append(f"{path}.max_attempts: expected integer >= 1 or null")
-            max_attempts = None
-    try:
-        return RetryPolicy(
-            t_base_s=float(_number(obj, "t_base_s", 1.0, path, issues)),
-            t_max_s=float(_number(obj, "t_max_s", 60.0, path, issues)),
-            max_attempts=max_attempts,
-        )
-    except SyncError as exc:
-        issues.append(f"{path}: {exc}")
-        return RetryPolicy()
-
-
-def _parse_outbox(obj: dict, path: str, issues: list[str]) -> OutboxConfig:
-    overflow = obj.get("overflow", OverflowPolicy.REJECT_NEW)
-    if overflow not in (OverflowPolicy.REJECT_NEW, OverflowPolicy.DROP_OLDEST):
-        issues.append(f"{path}.overflow: unknown policy {overflow!r}")
-        overflow = OverflowPolicy.REJECT_NEW
-    return OutboxConfig(
-        capacity=int(_number(obj, "capacity", 100_000, path, issues, lo=1)),
-        overflow=overflow,
-    )
-
-
-def _parse_device(obj: dict, index: int, issues: list[str]) -> DeviceConfig | None:
-    path = f"devices[{index}]"
-    raw_id = obj.get("device_id")
-    try:
-        device_id = DeviceId(str(raw_id)) if raw_id is not None else None
-    except CoreError as exc:
-        issues.append(f"{path}.device_id: {exc}")
-        device_id = None
-    if device_id is None:
-        if raw_id is None:
-            issues.append(f"{path}.device_id: required")
-        return None
-    role = obj.get("role")
-    if role not in ("access", "safety"):
-        issues.append(f"{path}.role: must be 'access' or 'safety', got {role!r}")
-        return None
-    flame_obj = _mapping(obj, "flame_params", path, issues)
-    try:
-        flame_params = FlameParams(
-            t_base=float(_number(flame_obj, "t_base", 800.0, f"{path}.flame_params", issues)),
-            alpha=float(_number(flame_obj, "alpha", 0.7, f"{path}.flame_params", issues)),
-            beta=float(_number(flame_obj, "beta", 0.2, f"{path}.flame_params", issues)),
-            gamma=float(_number(flame_obj, "gamma", 0.1, f"{path}.flame_params", issues)),
-        )
-    except SafetyError as exc:
-        issues.append(f"{path}.flame_params: {exc}")
-        flame_params = FlameParams()
-    kalman = _mapping(obj, "kalman", path, issues)
-    return DeviceConfig(
-        device_id=device_id,
-        role=role,
-        location=str(obj.get("location", "Main_Entrance")),
-        auth=_parse_auth(_mapping(obj, "auth", path, issues), f"{path}.auth", issues),
-        flame_params=flame_params,
-        kalman_q=float(_number(kalman, "q", 0.01, f"{path}.kalman", issues, lo=0.0)),
-        kalman_r=float(_number(kalman, "r", 1.0, f"{path}.kalman", issues)),
-        status_period_s=float(_number(obj, "status_period_s", 0.0, path, issues, lo=0.0)),
-        retry=_parse_retry(_mapping(obj, "retry", path, issues), f"{path}.retry", issues),
-        outbox=_parse_outbox(_mapping(obj, "outbox", path, issues), f"{path}.outbox", issues),
-        send_timeout_s=float(_number(obj, "send_timeout_s", 5.0, path, issues, lo=0.001)),
-    )
-
-
-def _parse_policy(obj: dict, index: int, issues: list[str]) -> AccessPolicy | None:
-    path = f"authz[{index}]"
-    raw_uid = obj.get("uid")
-    if raw_uid is None:
-        issues.append(f"{path}.uid: required")
-        return None
-    try:
-        uid = Uid(str(raw_uid).upper())
-    except CoreError as exc:
-        issues.append(f"{path}.uid: {exc}")
-        return None
-    start = _parse_time_of_day(obj.get("window_start", 0), f"{path}.window_start", issues)
-    end = _parse_time_of_day(
-        obj.get("window_end", SECONDS_PER_DAY - 1), f"{path}.window_end", issues
-    )
-    days = _parse_days(obj.get("allowed_days"), f"{path}.allowed_days", issues)
-    try:
-        return AccessPolicy(uid=uid, window_start=start, window_end=end, allowed_days=days)
-    except PolicyError as exc:
-        issues.append(f"{path}: {exc}")
-        return None
-
-
-def _parse_partitions(items: list, path: str, issues: list[str]) -> tuple[Partition, ...]:
-    spans = []
-    for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            issues.append(f"{path}[{i}]: expected a mapping")
-            continue
-        start = _number(item, "start_s", 0.0, f"{path}[{i}]", issues, lo=0.0)
-        end = _number(item, "end_s", 0.0, f"{path}[{i}]", issues, lo=0.0)
-        if end <= start:
-            issues.append(f"{path}[{i}]: end_s must exceed start_s")
-            continue
-        spans.append(Partition(float(start), float(end)))
-    spans.sort(key=lambda p: p.start_s)
-    for a, b in zip(spans, spans[1:]):
-        if b.start_s < a.end_s:
-            issues.append(f"{path}: intervals overlap near t={b.start_s}")
-    return tuple(spans)
+_LEAF_READERS: dict[object, Callable] = {
+    float: _typed((int, float), "a number", float),
+    int: _typed(int, "an integer", int),
+    str: _typed(str, "a string", str),
+    Timestamp: lambda value: Timestamp.from_iso8601(str(value)),
+    DeviceId: lambda value: DeviceId(str(value)),
+    Uid: lambda value: Uid(str(value).upper()),
+    _TimeOfDay: _time_of_day,
+    _Weekdays: _weekdays,
+    AccessPolicy: lambda value: AccessPolicy(**vars(_read_fields(_PolicyKeys, value))),
+}
 
 
 def parse_scenario(doc: dict | None) -> Scenario:
     """Build a Scenario from a parsed YAML document, or raise ConfigError
     describing every invalid field."""
-    issues: list[str] = []
-    doc = doc or {}
-    if not isinstance(doc, dict):
-        raise ConfigError(["top level: expected a mapping"])
-
-    known = {
-        "seed", "start_time", "duration_s", "devices", "workload",
-        "authz", "network", "faults", "sink",
-    }
-    for key in doc:
-        if key not in known:
-            issues.append(f"top level: unknown key {key!r}")
-
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        issues.append(f"seed: expected an integer, got {seed!r}")
-        seed = 0
-
-    start_raw = doc.get("start_time", "2024-01-15T00:00:00Z")
     try:
-        start_time = Timestamp.from_iso8601(str(start_raw))
-    except CoreError as exc:
-        issues.append(f"start_time: {exc}")
-        start_time = Timestamp.from_iso8601("2024-01-15T00:00:00Z")
-
-    duration_s = float(_number(doc, "duration_s", 3600.0, "scenario", issues, lo=0.0))
-
-    devices = []
-    seen_ids = set()
-    for i, item in enumerate(_sequence(doc, "devices", "scenario", issues)):
-        if not isinstance(item, dict):
-            issues.append(f"devices[{i}]: expected a mapping")
-            continue
-        device = _parse_device(item, i, issues)
-        if device is not None:
-            if device.device_id in seen_ids:
-                issues.append(f"devices[{i}].device_id: duplicate {device.device_id.value}")
-            seen_ids.add(device.device_id)
-            devices.append(device)
-
-    wl = _mapping(doc, "workload", "scenario", issues)
-    scans = []
-    for i, item in enumerate(_sequence(wl, "personnel_scans", "workload", issues)):
-        if not isinstance(item, dict):
-            issues.append(f"workload.personnel_scans[{i}]: expected a mapping")
-            continue
-        try:
-            uid = Uid(str(item.get("uid", "")).upper())
-        except CoreError as exc:
-            issues.append(f"workload.personnel_scans[{i}].uid: {exc}")
-            continue
-        scans.append(
-            PersonnelScanSpec(
-                at_s=float(
-                    _number(item, "at_s", 0.0, f"workload.personnel_scans[{i}]", issues, lo=0.0)
-                ),
-                uid=uid,
-            )
-        )
-    workload = WorkloadConfig(
-        access=_parse_arrival(_mapping(wl, "access", "workload", issues), "workload.access", issues),
-        flame=_parse_flame(_mapping(wl, "flame", "workload", issues), "workload.flame", issues),
-        flow=_parse_flow(_mapping(wl, "flow", "workload", issues), "workload.flow", issues),
-        personnel_scans=tuple(scans),
-    )
-
-    policies = []
-    seen_uids = set()
-    for i, item in enumerate(_sequence(doc, "authz", "scenario", issues)):
-        if not isinstance(item, dict):
-            issues.append(f"authz[{i}]: expected a mapping")
-            continue
-        policy = _parse_policy(item, i, issues)
-        if policy is not None:
-            if policy.uid in seen_uids:
-                issues.append(f"authz[{i}].uid: duplicate {policy.uid.value}")
-            seen_uids.add(policy.uid)
-            policies.append(policy)
-
-    net = _mapping(doc, "network", "scenario", issues)
-    network = NetworkConfig(
-        latency_mean_s=float(_number(net, "latency_mean_s", 1.2, "network", issues, lo=0.0)),
-        latency_stddev_s=float(_number(net, "latency_stddev_s", 0.3, "network", issues, lo=0.0)),
-        latency_floor_s=float(_number(net, "latency_floor_s", 0.05, "network", issues, lo=0.0)),
-        drop_prob=_fraction(net, "drop_prob", 0.0, "network", issues),
-        ack_drop_prob=_fraction(net, "ack_drop_prob", 0.0, "network", issues),
-    )
-
-    faults_obj = _mapping(doc, "faults", "scenario", issues)
-    drop_windows = []
-    for i, item in enumerate(_sequence(faults_obj, "drop_windows", "faults", issues)):
-        if not isinstance(item, dict):
-            issues.append(f"faults.drop_windows[{i}]: expected a mapping")
-            continue
-        p = f"faults.drop_windows[{i}]"
-        start = float(_number(item, "start_s", 0.0, p, issues, lo=0.0))
-        end = float(_number(item, "end_s", 0.0, p, issues, lo=0.0))
-        if end <= start:
-            issues.append(f"{p}: end_s must exceed start_s")
-            continue
-        drop_windows.append(DropWindow(start, end, _fraction(item, "prob", 1.0, p, issues)))
-    faults = FaultsConfig(
-        partitions=_parse_partitions(
-            _sequence(faults_obj, "partitions", "faults", issues), "faults.partitions", issues
-        ),
-        sink_outages=_parse_partitions(
-            _sequence(faults_obj, "sink_outages", "faults", issues), "faults.sink_outages", issues
-        ),
-        drop_windows=tuple(drop_windows),
-    )
-
-    sink_obj = _mapping(doc, "sink", "scenario", issues)
-    sink_mode = sink_obj.get("mode", "inprocess")
-    if sink_mode not in ("inprocess", "socket"):
-        issues.append(f"sink.mode: must be 'inprocess' or 'socket', got {sink_mode!r}")
-        sink_mode = "inprocess"
-    sink = SinkConfig(mode=sink_mode, token=str(sink_obj.get("token", DEFAULT_TOKEN)))
-
-    if issues:
-        raise ConfigError(issues)
-    return Scenario(
-        seed=seed,
-        start_time=start_time,
-        duration_s=duration_s,
-        devices=tuple(devices),
-        workload=workload,
-        authz=tuple(policies),
-        network=network,
-        faults=faults,
-        sink=sink,
-    )
+        return _read_fields(Scenario, doc)
+    except ConfigError as exc:
+        issues = exc.issues
+    except _INVALID as exc:
+        issues = [f": {exc}"]
+    raise ConfigError([f"top level{i}" if i.startswith(":") else i for i in issues])
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -20,7 +20,7 @@ import functools
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from . import codec, metrics as metrics_mod
@@ -212,11 +212,7 @@ class NetworkModel:
     @classmethod
     def from_config(cls, cfg: NetworkConfig, partitions=(), drop_windows=()) -> "NetworkModel":
         return cls(
-            latency_mean_s=cfg.latency_mean_s,
-            latency_stddev_s=cfg.latency_stddev_s,
-            latency_floor_s=cfg.latency_floor_s,
-            drop_prob=cfg.drop_prob,
-            ack_drop_prob=cfg.ack_drop_prob,
+            **asdict(cfg),
             partitions=[(p.start_s, p.end_s) for p in partitions],
             drop_windows=[(w.start_s, w.end_s, w.prob) for w in drop_windows],
         )
@@ -531,8 +527,8 @@ class _Device:
                 device_id=cfg.device_id,
                 location=cfg.location,
                 params=cfg.flame_params,
-                kalman_q=cfg.kalman_q,
-                kalman_r=cfg.kalman_r,
+                kalman_q=cfg.kalman.q,
+                kalman_r=cfg.kalman.r,
                 record_out=self.client.enqueue,
                 event_out=events,
             )
@@ -637,10 +633,7 @@ class Simulation:
         flow = self.scenario.workload.flow
         if flow.sample_period_s > 0:
             flow_rng = split_rng(self.scenario.seed, f"flow/{device}")
-            anomaly_steps = {
-                int(round(a.at_s / flow.sample_period_s)): a.magnitude_lpm
-                for a in flow.anomalies
-            }
+            anomaly_steps = {flow.step_of(a.at_s): a.magnitude_lpm for a in flow.anomalies}
 
             def read_flow(k: int, t: float) -> None:
                 value = flow.baseline_lpm
@@ -708,14 +701,14 @@ class Simulation:
                 flame = self.scenario.workload.flame
                 if flame.sample_period_s > 0:
                     for ep in flame.episodes:
-                        self.truth.flame_episodes.append(
-                            (ep.start_s, ep.start_s + ep.duration_s)
-                        )
+                        if ep.start_s < self.scenario.duration_s:
+                            self.truth.flame_episodes.append(
+                                (ep.start_s, ep.start_s + ep.duration_s)
+                            )
                 flow = self.scenario.workload.flow
                 if flow.sample_period_s > 0:
                     for a in flow.anomalies:
-                        k = int(round(a.at_s / flow.sample_period_s))
-                        t = k * flow.sample_period_s
+                        t = flow.step_of(a.at_s) * flow.sample_period_s
                         if t < self.scenario.duration_s:
                             self.truth.flow_anomaly_times.append(t)
             self.clock.run_until(self.scenario.duration_s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Protocol
 
 from . import codec
@@ -98,7 +99,7 @@ class DeliveryReceipt:
     acked_at: Timestamp
 
 
-class OverflowPolicy:
+class OverflowPolicy(str, Enum):
     REJECT_NEW = "reject_new"
     DROP_OLDEST = "drop_oldest"
 

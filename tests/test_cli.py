@@ -108,3 +108,36 @@ class TestTokenOverride:
         assert effective_token("explicit") == "explicit"
         monkeypatch.delenv("EDGEGATE_SINK_TOKEN")
         assert effective_token(DEFAULT_TOKEN) == DEFAULT_TOKEN
+
+
+class TestScenarioErrors:
+    """Scenario problems exit 1 with their field path from every command that
+    reads a scenario, before anything runs."""
+
+    def write(self, tmp_path, text: str) -> str:
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_nested_unknown_key_exits_one_with_its_path(self, tmp_path, capsys, command):
+        path = self.write(tmp_path, "workload:\n  access:\n    rate_per_sec: 1.0\n")
+        args = [command, path] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+        assert main(args) == 1
+        assert "workload.access: unknown key 'rate_per_sec'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_zero_measurement_noise_exits_one(self, tmp_path, capsys, command):
+        path = self.write(
+            tmp_path,
+            "devices:\n  - {device_id: SM_001, role: safety, kalman: {r: 0}}\n"
+            "workload:\n  flow: {sample_period_s: 1.0}\n",
+        )
+        args = [command, path] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+        assert main(args) == 1
+        assert "devices[0].kalman: measurement noise r must be > 0" in capsys.readouterr().err
+
+    def test_serve_sink_with_missing_scenario_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "missing.yaml"
+        assert main(["serve-sink", "--port", "0", "--scenario", str(missing)]) == 1
+        assert "cannot read scenario" in capsys.readouterr().err

@@ -517,3 +517,11 @@ class TestLazyWorkload:
         assert trace.meta["truth"]["flow_anomaly_times"] == [99.0]
         assert report.detection["flow_anomalies_detected"] == 1
         assert report.detection["flow_recall"] == 1.0
+
+
+class TestGroundTruth:
+    def test_episode_after_the_end_is_not_scored(self):
+        base = load_scenario(SCENARIOS / "safety_basic.yaml")  # episode at 400 s
+        _, report = run(dataclasses.replace(base, duration_s=200.0))
+        assert report.detection["flame_episodes"] == 0
+        assert report.detection["flame_recall"] is None
