@@ -16,7 +16,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from . import sim
 from .scenario import ConfigError, Scenario, load_scenario
-from .sink import DEFAULT_TOKEN, state_to_csv
+from .sink import DEFAULT_TOKEN, state_to_csv, state_to_json
 from .trace import EventTrace, GroundTruth, TraceError
 from .wire import SinkServer
 
@@ -94,10 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace, report = simulation.run()
         (out_dir / "trace.jsonl").write_bytes(trace.to_jsonl())
         (out_dir / "report.json").write_bytes(report.to_json())
-        (out_dir / "sink.json").write_text(
-            json.dumps(simulation.sink.state_dict(), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        (out_dir / "sink.json").write_bytes(state_to_json(simulation.sink.state_dict()))
     except Exception as exc:  # noqa: BLE001 - surface any runtime failure as exit 2
         print(f"run failed: {exc}", file=sys.stderr)
         return 2

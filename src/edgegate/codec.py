@@ -87,20 +87,29 @@ class CloudRecord:
         _check_data(self.data)
 
 
+# One compact JSON encoder, reused by every caller: ``json.dumps`` with
+# non-default arguments builds a new encoder on each call.
+compact_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
+def envelope(record: CloudRecord) -> dict:
+    """The record as a fresh JSON object, top-level keys in wire order."""
+    return {
+        "device_id": record.device_id.value,
+        "timestamp": record.timestamp.iso8601(),
+        "event_type": record.event_type,
+        "seq": record.seq,
+        "data": dict(record.data),
+    }
+
+
 def encode(record: CloudRecord) -> bytes:
     """Serialize to the compact canonical byte form.
 
     Key order is fixed and data keys keep their insertion order, so encoding
     is a pure function of the record value.
     """
-    envelope = {
-        "device_id": record.device_id.value,
-        "timestamp": record.timestamp.iso8601(),
-        "event_type": record.event_type,
-        "seq": record.seq,
-        "data": record.data,
-    }
-    return json.dumps(envelope, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return compact_json(envelope(record)).encode("utf-8")
 
 
 def decode(payload: bytes, *, default_seq: int = 0) -> CloudRecord:

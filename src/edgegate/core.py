@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date
 from enum import IntEnum
+from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
 SECONDS_PER_DAY = 86400
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 
-_ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+# The one wire shape, ``YYYY-MM-DDTHH:MM:SSZ``: ASCII digits, zero-padded.
+_ISO_RE = re.compile(r"(\d{4}-\d\d-\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 _UID_RE = re.compile(r"^[0-9A-F]{8}$")
 _DEVICE_ID_RE = re.compile(r"^[A-Za-z]+_[0-9]+$")
 
@@ -71,17 +73,28 @@ class Timestamp:
 
     @classmethod
     def from_iso8601(cls, text: str) -> "Timestamp":
-        """Parse the whole-second wire shape, e.g. ``2024-01-15T14:30:45Z``."""
-        try:
-            dt = datetime.strptime(text, _ISO_FORMAT).replace(tzinfo=timezone.utc)
-        except ValueError:
-            raise CoreError(f"bad ISO-8601 timestamp: {text!r}") from None
-        return cls(int(dt.timestamp()), 0)
+        """Parse the whole-second wire shape, e.g. ``2024-01-15T14:30:45Z``.
+
+        Only the exact 20-character form :meth:`iso8601` writes is accepted:
+        no unpadded fields, other separators, lowercase letters or
+        surrounding whitespace, and the date and time must exist.
+        """
+        match = _ISO_RE.fullmatch(text)
+        if match is not None:
+            day, hh, mm, ss = match.groups()
+            hours, minutes, seconds = int(hh), int(mm), int(ss)
+            if hours < 24 and minutes < 60 and seconds < 60:
+                days = _days_of_date(day)
+                if days is not None:
+                    return cls(days * SECONDS_PER_DAY + hours * 3600 + minutes * 60 + seconds, 0)
+        raise CoreError(f"bad ISO-8601 timestamp: {text!r}")
 
     def iso8601(self) -> str:
         """Whole-second ISO-8601 with Z suffix; millis are dropped."""
-        dt = datetime.fromtimestamp(self.seconds_utc, tz=timezone.utc)
-        return dt.strftime(_ISO_FORMAT)
+        days, rem = divmod(self.seconds_utc, SECONDS_PER_DAY)
+        hours, rem = divmod(rem, 3600)
+        minutes, seconds = divmod(rem, 60)
+        return "%s%02d:%02d:%02dZ" % (_date_prefix(days), hours, minutes, seconds)
 
     @classmethod
     def from_epoch(cls, epoch_seconds: float) -> "Timestamp":
@@ -98,6 +111,29 @@ class Timestamp:
     def diff_seconds(self, other: "Timestamp") -> float:
         """Signed ``self - other`` in seconds."""
         return (self.seconds_utc - other.seconds_utc) + (self.millis - other.millis) / 1000.0
+
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+# A run stamps and parses a handful of distinct days, so the calendar
+# conversion runs once per day and every other stamp costs a cache hit.
+@lru_cache(maxsize=1024)
+def _days_of_date(text: str) -> int | None:
+    """Days since the epoch of ``YYYY-MM-DD``, or None when no such date."""
+    try:
+        return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
+        return None
+
+
+@lru_cache(maxsize=1024)
+def _date_prefix(days: int) -> str:
+    """``YYYY-MM-DDT`` of a day number, for years 1 through 9999."""
+    try:
+        return date.fromordinal(days + _EPOCH_ORDINAL).isoformat() + "T"
+    except ValueError:
+        raise CoreError(f"timestamp outside years 1-9999: day {days}") from None
 
 
 def weekday_of(t: Timestamp) -> Weekday:

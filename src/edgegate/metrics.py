@@ -100,39 +100,91 @@ def _p95(values: list[float]) -> float | None:
     return ordered[rank - 1]
 
 
-def compute_metrics(trace: EventTrace, truth: GroundTruth) -> MetricsReport:
-    """Score a trace against its ground truth. Pure function of its inputs."""
-    labels = truth.request_labels
-    decisions = trace.by_kind("auth_decision")
-    for event in decisions:
-        rid = event.data.get("request_id")
-        if rid not in labels:
-            raise MismatchedTruthError(f"decision for unknown request {rid!r}")
-    for event in trace.by_kind("card_read"):
-        rid = event.data.get("request_id")
-        if rid not in labels:
-            raise MismatchedTruthError(f"card read for unknown request {rid!r}")
+_DEPTH_KINDS = frozenset(("outbox_enqueued", "delivered", "dead_letter"))
+_NONE_YET = object()
 
+
+def compute_metrics(trace: EventTrace, truth: GroundTruth) -> MetricsReport:
+    """Score a trace against its ground truth. Pure function of its inputs.
+
+    One pass over the events gathers every count and sample; the queue-depth
+    series keeps a running total of the per-device depths.
+    """
+    labels = truth.request_labels
+    unknown_decision = unknown_read = _NONE_YET
     granted = denied = 0
     false_grants = false_denials = 0
     authorized_attempts = unauthorized_attempts = 0
     response_ms: list[float] = []
-    for event in decisions:
-        label = labels[event.data["request_id"]]
-        outcome = event.data["outcome"]
-        response_ms.append(float(event.data["latency_ms"]))
-        if outcome == "granted":
-            granted += 1
-        else:
-            denied += 1
-        if label == "authorized":
-            authorized_attempts += 1
-            if outcome == "denied":
-                false_denials += 1
-        elif label == "unauthorized":
-            unauthorized_attempts += 1
+    enqueue_times: dict[str, float] = {}
+    deliveries: list[tuple[float, str]] = []
+    drops = rejected_drops = dead_lettered = still_queued = 0
+    rejected_input = gate_busy = 0
+    flame_times: list[float] = []
+    flow_times: list[float] = []
+    series: list[list[float]] = []
+    depth_by_device: dict[str, int] = {}
+    total_depth = 0
+
+    for event in trace.events:
+        kind = event.kind
+        data = event.data
+        if kind in _DEPTH_KINDS:
+            device = data["device"]
+            depth = data["depth"]
+            total_depth += depth - depth_by_device.get(device, 0)
+            depth_by_device[device] = depth
+            series.append([event.t, float(total_depth)])
+            if kind == "outbox_enqueued":
+                enqueue_times.setdefault(data["key"], event.t)
+            elif kind == "delivered":
+                deliveries.append((event.t, data["key"]))
+            else:
+                dead_lettered += 1
+        elif kind == "auth_decision":
+            rid = data.get("request_id")
+            if rid not in labels:
+                if unknown_decision is _NONE_YET:
+                    unknown_decision = rid
+                continue
+            label = labels[rid]
+            outcome = data["outcome"]
+            response_ms.append(float(data["latency_ms"]))
             if outcome == "granted":
-                false_grants += 1
+                granted += 1
+            else:
+                denied += 1
+            if label == "authorized":
+                authorized_attempts += 1
+                if outcome == "denied":
+                    false_denials += 1
+            elif label == "unauthorized":
+                unauthorized_attempts += 1
+                if outcome == "granted":
+                    false_grants += 1
+        elif kind == "card_read":
+            rid = data.get("request_id")
+            if rid not in labels and unknown_read is _NONE_YET:
+                unknown_read = rid
+        elif kind == "outbox_dropped":
+            drops += 1
+            if data.get("mode") == "rejected":
+                rejected_drops += 1
+        elif kind == "queue_final":
+            still_queued += data["depth"]
+        elif kind == "rejected_input":
+            rejected_input += 1
+        elif kind == "gate_busy":
+            gate_busy += 1
+        elif kind == "flame_detected":
+            flame_times.append(event.t)
+        elif kind == "flow_anomaly":
+            flow_times.append(event.t)
+
+    if unknown_decision is not _NONE_YET:
+        raise MismatchedTruthError(f"decision for unknown request {unknown_decision!r}")
+    if unknown_read is not _NONE_YET:
+        raise MismatchedTruthError(f"card read for unknown request {unknown_read!r}")
 
     valid_attempts = authorized_attempts + unauthorized_attempts
     accuracy = (
@@ -141,47 +193,26 @@ def compute_metrics(trace: EventTrace, truth: GroundTruth) -> MetricsReport:
     far = false_grants / unauthorized_attempts if unauthorized_attempts else None
     frr = false_denials / authorized_attempts if authorized_attempts else None
 
-    enqueue_times: dict[str, float] = {}
-    for event in trace.by_kind("outbox_enqueued"):
-        enqueue_times.setdefault(event.data["key"], event.t)
-    delivered_events = trace.by_kind("delivered")
-    delivery_latency = [
-        event.t - enqueue_times[event.data["key"]]
-        for event in delivered_events
-        if event.data["key"] in enqueue_times
-    ]
-
-    drops = trace.by_kind("outbox_dropped")
-    rejected_drops = sum(1 for e in drops if e.data.get("mode") == "rejected")
+    delivery_latency = [t - enqueue_times[key] for t, key in deliveries if key in enqueue_times]
     enqueued = len(enqueue_times) + rejected_drops  # records offered to the outbox
-    delivered = len(delivered_events)
-    dead_lettered = len(trace.by_kind("dead_letter"))
-    still_queued = sum(e.data["depth"] for e in trace.by_kind("queue_final"))
+    delivered = len(deliveries)
     logging_success = delivered / enqueued if enqueued else None
 
     counts = {
         "granted": granted,
         "denied": denied,
-        "rejected_input": len(trace.by_kind("rejected_input")),
-        "gate_busy": len(trace.by_kind("gate_busy")),
+        "rejected_input": rejected_input,
+        "gate_busy": gate_busy,
         "enqueued": enqueued,
         "delivered": delivered,
         "dead_lettered": dead_lettered,
-        "dropped": len(drops),
+        "dropped": drops,
         "still_queued": still_queued,
     }
 
-    series: list[list[float]] = []
-    depth_by_device: dict[str, int] = {}
-    for event in trace.events:
-        if event.kind in ("outbox_enqueued", "delivered", "dead_letter"):
-            depth_by_device[event.data["device"]] = event.data["depth"]
-            series.append([event.t, float(sum(depth_by_device.values()))])
     if len(series) > _SERIES_MAX_POINTS:
         stride = -(-len(series) // _SERIES_MAX_POINTS)
         series = series[::stride]
-
-    detection = _detection_metrics(trace, truth)
 
     return MetricsReport(
         auth_accuracy=accuracy,
@@ -193,14 +224,14 @@ def compute_metrics(trace: EventTrace, truth: GroundTruth) -> MetricsReport:
         latency_mean_s=_mean(delivery_latency),
         latency_p95_s=_p95(delivery_latency),
         counts=counts,
-        detection=detection,
+        detection=_detection_metrics(flame_times, flow_times, truth),
         queue_depth_series=series,
     )
 
 
-def _detection_metrics(trace: EventTrace, truth: GroundTruth) -> dict:
-    flame_events = trace.by_kind("flame_detected")
-    flame_times = sorted(e.t for e in flame_events)
+def _detection_metrics(
+    flame_times: list[float], flow_times: list[float], truth: GroundTruth
+) -> dict:
     episodes_detected = 0
     in_episode = 0
     for start, end in truth.flame_episodes:
@@ -210,9 +241,7 @@ def _detection_metrics(trace: EventTrace, truth: GroundTruth) -> dict:
         if any(start <= t <= end for start, end in truth.flame_episodes):
             in_episode += 1
 
-    flow_events = trace.by_kind("flow_anomaly")
-    flow_times = sorted(e.t for e in flow_events)
-    truth_times = sorted(truth.flow_anomaly_times)
+    truth_times = truth.flow_anomaly_times
     matched_truth = sum(
         1 for t in truth_times if any(abs(t - d) <= 1e-6 for d in flow_times)
     )

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring
 
 from . import codec
-from .codec import CloudRecord
+from .codec import CloudRecord, DataValue
 from .core import AccessPolicy, Timestamp, Uid
 
 DEFAULT_TOKEN = "edgegate-mock-token"
@@ -143,7 +144,7 @@ class CloudSink:
                 {
                     "row_index": row.row_index,
                     "received_at": row.received_at.iso8601(),
-                    "record": json.loads(codec.encode(row.record)),
+                    "record": codec.envelope(row.record),
                 }
                 for row in self.table.rows
             ]
@@ -176,6 +177,61 @@ def _csv_scalar(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+# One row of ``json.dumps(state, indent=2)``, from its opening brace up to
+# the record's data object.
+_ROW_HEAD = (
+    '\n    {\n      "row_index": %d,\n      "received_at": %s,\n      "record": {\n'
+    '        "device_id": %s,\n        "timestamp": %s,\n        "event_type": %s,\n'
+    '        "seq": %d,\n        "data": '
+)
+_DATA_ITEM = "\n          "
+
+
+def state_to_json(state: dict) -> bytes:
+    """UTF-8 of ``json.dumps(state, indent=2, ensure_ascii=False) + "\n"``
+    for a :meth:`CloudSink.state_dict` snapshot.
+
+    With ``indent`` set, ``json.dumps`` falls back to its pure-Python
+    encoder. This writes the fixed row layout directly, row by row, and
+    encodes each string with the C string encoder.
+    """
+    rows = state["rows"]
+    if not rows:
+        return b'{\n  "rows": []\n}\n'
+    out = ['{\n  "rows": [']
+    sep = ""
+    for row in rows:
+        record = row["record"]
+        out.append(sep + _ROW_HEAD % (
+            row["row_index"],
+            encode_basestring(row["received_at"]),
+            encode_basestring(record["device_id"]),
+            encode_basestring(record["timestamp"]),
+            encode_basestring(record["event_type"]),
+            record["seq"],
+        ))
+        data = record["data"]
+        if data:
+            items = ",".join(
+                _DATA_ITEM + encode_basestring(k) + ": " + _json_scalar(v)
+                for k, v in data.items()
+            )
+            out.append("{" + items + "\n        }\n      }\n    }")
+        else:
+            out.append("{}\n      }\n    }")
+        sep = ","
+    out.append("\n  ]\n}\n")
+    return "".join(out).encode("utf-8")
+
+
+def _json_scalar(value: DataValue) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)
 
 
 def state_to_csv(state: dict) -> bytes:

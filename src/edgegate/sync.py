@@ -12,7 +12,7 @@ or by the queue's explicit overflow policy; there is no silent drop path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol
 
@@ -106,9 +106,16 @@ class OverflowPolicy(str, Enum):
 
 @dataclass
 class OutboxEntry:
+    """A queued record with its wire bytes, encoded once when it is queued
+    and resent unchanged on every retry."""
+
     record: CloudRecord
     enqueue_time: float
     attempts: int = 0
+    payload: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.payload = codec.encode(self.record)
 
 
 class OutboxQueue:
@@ -260,10 +267,11 @@ class SyncClient:
         entry.attempts += 1
         self._send_serial += 1
         serial = self._send_serial
-        payload = codec.encode(entry.record)
         key = codec.idempotency_key(entry.record)
         self._emit("send_attempt", {"key": key, "attempt": entry.attempts})
-        self._transport.send(payload, lambda outcome: self._on_result(serial, entry, outcome))
+        self._transport.send(
+            entry.payload, lambda outcome: self._on_result(serial, entry, outcome)
+        )
 
     def _on_result(self, serial: int, entry: OutboxEntry, outcome: SendOutcome) -> None:
         if serial != self._send_serial or entry is not self._in_flight:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .codec import compact_json
+
 
 class TraceError(ValueError):
     """Trace bytes could not be parsed."""
@@ -27,13 +29,6 @@ class TraceEvent:
     seq: int
     kind: str
     data: dict
-
-    def to_line(self) -> str:
-        return json.dumps(
-            {"t": self.t, "seq": self.seq, "kind": self.kind, "data": self.data},
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
 
 
 class EventTrace:
@@ -57,9 +52,11 @@ class EventTrace:
         return [e for e in self.events if e.kind == kind]
 
     def to_jsonl(self) -> bytes:
-        lines = [json.dumps({"kind": "meta", **self.meta}, separators=(",", ":"),
-                            ensure_ascii=False)]
-        lines.extend(e.to_line() for e in self.events)
+        lines = [compact_json({"kind": "meta", **self.meta})]
+        lines.extend(
+            compact_json({"t": e.t, "seq": e.seq, "kind": e.kind, "data": e.data})
+            for e in self.events
+        )
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     @classmethod

@@ -21,6 +21,8 @@ from .sink import CloudSink, UnauthorizedError, UnavailableError
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LEN = struct.Struct(">I")
+# How often the serving loop checks for shutdown; bounds how long stop() waits.
+_POLL_INTERVAL_S = 0.05
 
 
 class WireError(Exception):
@@ -41,7 +43,7 @@ _MAPPED_ERRORS = tuple(cls for _, cls in _ERROR_CODES)
 
 
 def write_frame(sock: socket.socket, obj: dict) -> None:
-    body = json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    body = codec.compact_json(obj).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame too large: {len(body)} bytes")
     sock.sendall(_LEN.pack(len(body)) + body)
@@ -87,8 +89,12 @@ def _handle_request(sink: CloudSink, clock: ClockPort, request: dict) -> dict:
             record_text = request.get("record")
             if not isinstance(record_text, str):
                 return _err("bad_request", "APPEND requires a 'record' string")
+            # A lone surrogate (JSON "\ud800") has no UTF-8 form; passing it
+            # through as raw bytes gets the sink's own "not UTF-8" parse error.
             row = sink.append(
-                str(request.get("token", "")), record_text.encode("utf-8"), clock.now_ts()
+                str(request.get("token", "")),
+                record_text.encode("utf-8", "surrogatepass"),
+                clock.now_ts(),
             )
             return {"ok": True, "row_index": row}
         if op == "QUERY":
@@ -165,18 +171,20 @@ class SinkServer:
         return self.address[1]
 
     def start(self) -> "SinkServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        # shutdown() waits for a serving loop to end, so without one it
+        # would wait forever.
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5)
+        self._server.server_close()
 
     def serve_forever(self) -> None:
-        self._server.serve_forever()
+        self._server.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def __enter__(self) -> "SinkServer":
         return self.start()

@@ -32,9 +32,35 @@ class TestTimestamp:
         assert t.seconds_utc == 1705329045
 
     def test_bad_iso_rejected(self):
-        for bad in ("2024-01-15 14:30:45", "2024-01-15T14:30:45", "not-a-time", ""):
+        for bad in (
+            "2024-01-15 14:30:45",
+            "2024-01-15T14:30:45",
+            "not-a-time",
+            "",
+            "2024-02-30T00:00:00Z",  # no such day
+            "2023-02-29T00:00:00Z",  # not a leap year
+            "2024-01-15T24:00:00Z",
+            "2024-01-15T14:60:00Z",
+            "2024-01-15T14:30:60Z",
+            "2024-13-01T00:00:00Z",
+            "2024-01-15T14:30:45Z ",  # trailing space
+            "2024-01-15T14:30:4\u0665Z",  # ARABIC-INDIC DIGIT FIVE
+            "\uff12024-01-15T14:30:45Z",  # FULLWIDTH DIGIT TWO
+            "2024-1-5T1:2:3Z",  # unpadded: strptime took it, encode never writes it
+            "2024-01-15t14:30:45z",  # lowercase: strptime took it too
+        ):
             with pytest.raises(CoreError):
                 Timestamp.from_iso8601(bad)
+
+    def test_leap_day_accepted(self):
+        assert ts("2024-02-29T00:00:00Z").iso8601() == "2024-02-29T00:00:00Z"
+
+    @given(st.integers(min_value=0, max_value=253402300799))
+    def test_iso_agrees_with_datetime(self, seconds):
+        expected = datetime.fromtimestamp(seconds, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        text = Timestamp(seconds).iso8601()
+        assert text == expected
+        assert Timestamp.from_iso8601(text) == Timestamp(seconds)
 
     def test_millis_bounds(self):
         Timestamp(0, 0)

@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from edgegate import codec
-from edgegate.codec import CloudRecord, SchemaError
+from edgegate.codec import EVENT_TYPES, CloudRecord, SchemaError
 from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.sink import (
     CSV_COLUMNS,
@@ -14,6 +15,7 @@ from edgegate.sink import (
     UnavailableError,
     export_csv,
     state_to_csv,
+    state_to_json,
 )
 
 from conftest import always_open_policy
@@ -145,3 +147,71 @@ class TestStateSnapshot:
         sink.append(TOKEN, codec.encode(listing_record), T0)
         payload = json.dumps(sink.state_dict())
         assert json.loads(payload)["rows"][0]["row_index"] == 0
+
+    def test_rows_equal_the_decoded_wire_form(self, listing_record):
+        sink = CloudSink()
+        sink.append(TOKEN, codec.encode(listing_record), T0)
+        sink.append(TOKEN, codec.encode(record(1)), T0.add_seconds(3600))
+        rows = sink.state_dict()["rows"]
+        assert [r["record"] for r in rows] == [
+            json.loads(codec.encode(r.record)) for r in sink.table.rows
+        ]
+        assert [r["received_at"] for r in rows] == [
+            "2024-01-15T14:30:45Z",
+            "2024-01-15T15:30:45Z",
+        ]
+
+    def test_snapshot_does_not_share_record_data(self, listing_record):
+        sink = CloudSink()
+        sink.append(TOKEN, codec.encode(listing_record), T0)
+        sink.state_dict()["rows"][0]["record"]["data"]["uid"] = "changed"
+        assert sink.table.rows[0].record.data["uid"] == "A1B2C3D4"
+
+
+def reference_json(state: dict) -> bytes:
+    return (json.dumps(state, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def snapshot(*records: CloudRecord) -> dict:
+    sink = CloudSink()
+    for r in records:
+        sink.append(TOKEN, codec.encode(r), T0)
+    return sink.state_dict()
+
+
+data_values = st.one_of(st.text(), st.booleans(), st.integers(min_value=-(2**80), max_value=2**80))
+
+
+class TestStateToJson:
+    def test_empty_table(self):
+        assert state_to_json(CloudSink().state_dict()) == reference_json({"rows": []})
+
+    def test_empty_data(self):
+        state = snapshot(record(0), record(1))
+        assert state_to_json(state) == reference_json(state)
+
+    def test_non_ascii_and_control_characters(self):
+        data = {"név": "Ünïcødé ✓ 日本", "ctl": "tab\tnl\ncr\r\x00\x1f\x7f", 'q"\\': "\"\\/"}
+        state = snapshot(CloudRecord(DeviceId("AC_001"), T0, "status", data, 0))
+        assert state_to_json(state) == reference_json(state)
+
+    def test_bools_and_large_ints(self):
+        data = {"t": True, "f": False, "zero": 0, "neg": -7, "big": 2**70, "small": -(2**70)}
+        state = snapshot(CloudRecord(DeviceId("AC_001"), T0, "status", data, 2**40))
+        assert state_to_json(state) == reference_json(state)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(EVENT_TYPES),
+                st.dictionaries(st.text(max_size=8), data_values, max_size=4),
+            ),
+            max_size=5,
+        )
+    )
+    def test_matches_json_dumps(self, items):
+        state = snapshot(
+            *(CloudRecord(DeviceId("AC_001"), T0, event, data, seq)
+              for seq, (event, data) in enumerate(items))
+        )
+        assert state_to_json(state) == reference_json(state)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from edgegate import codec
 from edgegate.codec import CloudRecord
 from edgegate.core import DeviceId, Timestamp
 from edgegate.sim import SimClock
@@ -161,6 +162,16 @@ class TestSyncClient:
         # the second record was never sent before the first was acknowledged
         sent_seqs = [d["key"] for k, d in events if k == "send_attempt"]
         assert sent_seqs == ["AC_001:0", "AC_001:0", "AC_001:1"]
+
+    def test_retries_resend_the_bytes_encoded_at_enqueue(self, monkeypatch):
+        encoded = []
+        real_encode = codec.encode
+        monkeypatch.setattr(codec, "encode", lambda r: encoded.append(r) or real_encode(r))
+        client, clock, transport, events = make_client(script=[Nack(), SendTimeout(), Ack(0)])
+        client.enqueue(record(0))
+        client.flush()
+        assert encoded == [record(0)]
+        assert transport.sent_payloads == [codec.encode(record(0))] * 3
 
     def test_timeout_counts_as_failure(self):
         client, clock, transport, events = make_client(script=[SendTimeout(), Ack(0)])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -153,3 +154,46 @@ class TestConcurrentAppends:
                 r.record.seq for r in rows if r.record.device_id.value == device
             ]
             assert seqs == sorted(seqs)
+
+
+class TestServerLifecycle:
+    def test_stop_on_idle_server_is_prompt(self):
+        server = SinkServer(CloudSink(TOKEN)).start()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.2
+
+    def test_stop_without_start_returns(self):
+        server = SinkServer(CloudSink(TOKEN))
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive()
+
+
+def append_lone_surrogate(sock: socket.socket) -> dict:
+    """APPEND a record holding the JSON escape "\\ud800": valid JSON, but the
+    string it decodes to has no UTF-8 form."""
+    body = ('{"op":"APPEND","token":"%s","record":"\\ud800"}' % TOKEN).encode()
+    sock.sendall(len(body).to_bytes(4, "big") + body)
+    return read_frame(sock)
+
+
+class TestUnencodableRecord:
+    def test_lone_surrogate_is_a_parse_error_and_connection_survives(self, server):
+        good = codec.encode(record(0)).decode("utf-8")
+        with socket.create_connection(server.address, timeout=5) as sock:
+            reply = append_lone_surrogate(sock)
+            assert reply["ok"] is False
+            assert reply["error"] == "parse"
+            write_frame(sock, {"op": "APPEND", "token": TOKEN, "record": good})
+            assert read_frame(sock) == {"ok": True, "row_index": 0}
+        assert len(server.sink.table) == 1
+
+    def test_same_error_as_inprocess_sink(self, server):
+        twin = CloudSink(TOKEN)
+        with pytest.raises(ParseError, match="not UTF-8") as local:
+            twin.append(TOKEN, "\ud800".encode("utf-8", "surrogatepass"), T0)
+        with socket.create_connection(server.address, timeout=5) as sock:
+            reply = append_lone_surrogate(sock)
+        assert reply == {"ok": False, "error": "parse", "message": str(local.value)}
