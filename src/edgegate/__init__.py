@@ -31,7 +31,7 @@ from .safety import (
 from .scenario import Scenario, load_scenario, parse_scenario
 from .sim import NetworkModel, SimClock, Simulation, inject_partition, run, sample_latency
 from .sink import CloudSink
-from .sync import DeliveryReceipt, OutboxQueue, RetryPolicy, SyncClient, backoff_delay
+from .sync import OutboxQueue, RetryPolicy, SyncClient, backoff_delay
 from .trace import EventTrace, GroundTruth
 from .wire import RemoteSink, SinkServer
 
@@ -44,7 +44,6 @@ __all__ = [
     "AuthResult",
     "CloudRecord",
     "CloudSink",
-    "DeliveryReceipt",
     "DeviceId",
     "EventTrace",
     "FallbackMode",

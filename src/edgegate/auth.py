@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Protocol
 
 from .codec import CloudRecord
-from .core import AccessPolicy, DeviceId, Timestamp, Uid, seconds_of_day, weekday_of
+from .core import AccessPolicy, DeviceId, Timestamp, Uid, discard, seconds_of_day, weekday_of
 from .sync import SchedulerPort
 
 
@@ -282,10 +282,11 @@ class _PendingQuery:
 class AccessEngine:
     """Event-driven authentication engine for one device.
 
-    Emits exactly one AuthResult and one CloudRecord per well-formed,
-    accepted request; refused requests (malformed input, busy engine) emit
-    neither and are counted separately. Driving happens through the injected
-    scheduler, so the engine consumes only simulated time.
+    Emits exactly one CloudRecord and one ``auth_decision`` event per
+    well-formed, accepted request; a refused request (malformed input, busy
+    engine) emits no record, only its ``rejected_input`` or ``gate_busy``
+    event. The events are the engine's only log. Driving happens through the
+    injected scheduler, so the engine consumes only simulated time.
     """
 
     def __init__(
@@ -295,14 +296,13 @@ class AccessEngine:
         clock: SchedulerPort,
         cloud: CloudQueryPort,
         config: AuthConfig | None = None,
-        cache: PolicyCache | None = None,
-        record_out: Callable[[CloudRecord], None] | None = None,
-        event_out: Callable[[str, dict], None] | None = None,
+        record_out: Callable[[CloudRecord], None] = discard,
+        event_out: Callable[[str, dict], None] = discard,
     ) -> None:
         self.device_id = device_id
         self.location = location
         self.config = config or AuthConfig()
-        self.cache = cache if cache is not None else PolicyCache(self.config.cache_capacity)
+        self.cache = PolicyCache(self.config.cache_capacity)
         self.gate = GateActuator(self.config.open_angle_deg, self.config.closed_angle_deg)
         self._clock = clock
         self._cloud = cloud
@@ -312,13 +312,6 @@ class AccessEngine:
         self._busy = False
         self._query_counter = 0
         self._pending: _PendingQuery | None = None
-        self.results: list[AuthResult] = []
-        self.counters = {
-            "granted": 0,
-            "denied": 0,
-            "rejected_input": 0,
-            "gate_busy": 0,
-        }
 
     # -- request entry points ------------------------------------------------
 
@@ -337,14 +330,12 @@ class AccessEngine:
         (``auth_decision``, ``rejected_input`` or ``gate_busy``).
         """
         if self._busy:
-            self.counters["gate_busy"] += 1
-            self._emit_event("gate_busy", {"request_id": request_id, "raw_uid": raw_uid})
+            self._event_out("gate_busy", {"request_id": request_id, "raw_uid": raw_uid})
             return RequestDisposition.GATE_BUSY
         try:
             uid = validate_uid_format(raw_uid)
         except MalformedUidError:
-            self.counters["rejected_input"] += 1
-            self._emit_event("rejected_input", {"request_id": request_id, "raw_uid": raw_uid})
+            self._event_out("rejected_input", {"request_id": request_id, "raw_uid": raw_uid})
             return RequestDisposition.REJECTED_INPUT
 
         self._busy = True
@@ -439,24 +430,18 @@ class AccessEngine:
     ) -> None:
         at = self._clock.now_ts()
         latency_ms = (self._clock.now() - started) * 1000.0
-        result = AuthResult(
-            outcome=outcome, source=source, decision_latency_ms=latency_ms, uid=uid, at=at
-        )
-        self.results.append(result)
-
         granted = outcome is Outcome.GRANTED
-        self.counters["granted" if granted else "denied"] += 1
-        self._emit_record(result, granted)
+        self._record_out(self._record(uid, at, granted))
         if granted:
             self.gate.begin_open()
             self.gate.complete_open()
-            self._emit_event("gate_open", {"angle_deg": self.gate.angle_deg})
+            self._event_out("gate_open", {"angle_deg": self.gate.angle_deg})
             self._clock.schedule(self.config.t_entry_s, self._close_gate)
         else:
-            self._emit_event("buzzer", {"pattern": BUZZER_PATTERN})
+            self._event_out("buzzer", {"pattern": BUZZER_PATTERN})
             self._busy = False
         # After the actuator event, so the trace shows the gate reacting first.
-        self._emit_event(
+        self._event_out(
             "auth_decision",
             {
                 "request_id": request_id,
@@ -467,36 +452,29 @@ class AccessEngine:
             },
         )
         if on_result is not None:
-            on_result(result)
+            on_result(AuthResult(outcome, source, latency_ms, uid, at))
 
     def _close_gate(self) -> None:
         self.gate.begin_close()
         self.gate.complete_close()
-        self._emit_event("gate_close", {"angle_deg": self.gate.angle_deg})
+        self._event_out("gate_close", {"angle_deg": self.gate.angle_deg})
         self._busy = False
 
-    def _emit_record(self, result: AuthResult, granted: bool) -> None:
-        if self._record_out is None:
-            return
-        record = CloudRecord(
+    def _record(self, uid: Uid, at: Timestamp, granted: bool) -> CloudRecord:
+        return CloudRecord(
             device_id=self.device_id,
-            timestamp=result.at,
+            timestamp=at,
             event_type="access_granted" if granted else "access_denied",
             data={
-                "uid": result.uid.value,
+                "uid": uid.value,
                 "gate_status": "open" if granted else "closed",
                 "duration_ms": int(self.config.t_entry_s * 1000) if granted else 0,
                 "location": self.location,
             },
             seq=self._next_seq(),
         )
-        self._record_out(record)
 
     def _next_seq(self) -> int:
         seq = self._seq
         self._seq += 1
         return seq
-
-    def _emit_event(self, kind: str, data: dict) -> None:
-        if self._event_out is not None:
-            self._event_out(kind, data)

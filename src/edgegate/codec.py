@@ -6,7 +6,8 @@ compact (no insignificant whitespace) and deterministic, so equal records
 always produce identical bytes; that byte stability is what makes
 retransmissions safely deduplicable. Decoding additionally accepts
 pretty-printed input and, for compatibility with senders that omit it,
-tolerates a missing ``seq`` (the caller assigns one from arrival order).
+tolerates a missing ``seq``: it decodes as 0, and :func:`parse_record`
+reports its absence so the sink can assign one from arrival order.
 """
 
 from __future__ import annotations
@@ -112,23 +113,31 @@ def encode(record: CloudRecord) -> bytes:
     return compact_json(envelope(record)).encode("utf-8")
 
 
-def decode(payload: bytes, *, default_seq: int = 0) -> CloudRecord:
+def decode(payload: bytes) -> CloudRecord:
     """Parse envelope bytes, compact or pretty-printed.
 
     Unknown top-level keys, unknown event types, malformed timestamps and
-    non-scalar data values are all rejected. A missing ``seq`` is assigned
-    ``default_seq``.
+    non-scalar data values are all rejected. A missing ``seq`` decodes as 0.
     """
-    record, _ = parse_record(payload, default_seq=default_seq)
+    record, _ = parse_record(payload)
     return record
 
 
-def parse_record(payload: bytes, *, default_seq: int = 0) -> tuple[CloudRecord, bool]:
-    """Like :func:`decode`, also reporting whether ``seq`` was present."""
+def utf8_text(payload: bytes) -> str:
+    """``payload`` decoded as UTF-8; anything else is a :class:`ParseError`."""
     try:
-        text = payload.decode("utf-8")
+        return payload.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"payload is not UTF-8: {exc}") from None
+
+
+def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
+    """Like :func:`decode`, also reporting whether ``seq`` was present.
+
+    The record's own constructor checks ``seq`` and the data values; its
+    :class:`InvalidRecordError` surfaces here as :class:`SchemaError`.
+    """
+    text = utf8_text(payload)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -159,25 +168,18 @@ def parse_record(payload: bytes, *, default_seq: int = 0) -> tuple[CloudRecord, 
     except CoreError as exc:
         raise SchemaError(str(exc)) from None
 
-    seq_present = "seq" in obj
-    seq = obj["seq"] if seq_present else default_seq
-    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-        raise SchemaError(f"seq must be a non-negative integer, got {seq!r}")
-
     data = obj["data"]
     if not isinstance(data, dict):
         raise SchemaError("data must be an object")
-    for k, v in data.items():
-        if not isinstance(v, (str, int, bool)) or isinstance(v, float):
-            raise SchemaError(f"data value for {k!r} must be string/integer/boolean")
 
+    seq_present = "seq" in obj
     try:
         record = CloudRecord(
             device_id=device_id,
             timestamp=timestamp,
             event_type=event_type,
             data=dict(data),
-            seq=seq,
+            seq=obj["seq"] if seq_present else 0,
         )
     except InvalidRecordError as exc:
         raise SchemaError(str(exc)) from None

@@ -242,3 +242,9 @@ class SystemClock:
 
     def now_ts(self) -> Timestamp:
         return Timestamp.from_epoch(self.now())
+
+
+def discard(*_args: object) -> None:
+    """Default for a component's optional emitter (``record_out``,
+    ``event_out``, ``on_event``): the component always emits, and nothing
+    listens."""

@@ -13,12 +13,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .codec import CloudRecord, DataValue
-from .core import DeviceId, Timestamp, Uid
+from .core import DeviceId, Timestamp, Uid, discard
 
 WINDOW_SIZE = 30
 SIGMA_MULTIPLE = 3.0
+
+# Variance of the Kalman estimate seeded from the first measurement.
+_INITIAL_VARIANCE = 1.0
 
 # Exact incremental stats would slowly drift over very long streams; a
 # periodic exact rebuild bounds the error well below the 1e-9 contract.
@@ -231,11 +235,10 @@ def steady_state_variance(q: float, r: float) -> float:
 class KalmanFilter:
     """Stateful convenience wrapper around :func:`kalman_update`."""
 
-    def __init__(self, q: float = 0.01, r: float = 1.0, initial_variance: float = 1.0) -> None:
+    def __init__(self, q: float = 0.01, r: float = 1.0) -> None:
         self._state: KalmanState | None = None
         self._q = q
         self._r = r
-        self._initial_variance = initial_variance
 
     @property
     def state(self) -> KalmanState | None:
@@ -245,7 +248,7 @@ class KalmanFilter:
         if self._state is None:
             # Seed the estimate from the first measurement.
             self._state = KalmanState(
-                estimate=z, variance=self._initial_variance, q=self._q, r=self._r
+                estimate=z, variance=_INITIAL_VARIANCE, q=self._q, r=self._r
             )
             return z
         self._state, filtered = kalman_update(self._state, z)
@@ -259,7 +262,7 @@ class SafetyMonitor:
     Flame records fire on the rising edge only (a burning episode is one
     event, not one per sample). A recent personnel scan attaches the card
     identity to anomaly records, giving emergency responders context about
-    who is inside the zone.
+    who is inside the zone. Records and events are the monitor's only log.
     """
 
     def __init__(
@@ -270,8 +273,8 @@ class SafetyMonitor:
         kalman_q: float = 0.01,
         kalman_r: float = 1.0,
         personnel_context_s: float = 60.0,
-        record_out=None,
-        event_out=None,
+        record_out: Callable[[CloudRecord], None] = discard,
+        event_out: Callable[[str, dict], None] = discard,
     ) -> None:
         self.device_id = device_id
         self.location = location
@@ -285,20 +288,16 @@ class SafetyMonitor:
         self._record_out = record_out
         self._event_out = event_out
         self._seq = 0
-        self.counters = {"flame_detected": 0, "flow_anomaly": 0}
 
     def _next_seq(self) -> int:
         seq = self._seq
         self._seq += 1
         return seq
 
-    def _emit(self, kind: str, context: dict, at: Timestamp) -> CloudRecord:
-        record = emit_safety_event(
-            kind, context, at, self.device_id, self._next_seq(), self.location
+    def _emit(self, kind: str, context: dict, at: Timestamp) -> None:
+        self._record_out(
+            emit_safety_event(kind, context, at, self.device_id, self._next_seq(), self.location)
         )
-        if self._record_out is not None:
-            self._record_out(record)
-        return record
 
     def _context_uid(self, at: Timestamp) -> Uid | None:
         if self._last_scan is None:
@@ -319,17 +318,15 @@ class SafetyMonitor:
         burning = detect_flame(sample, threshold)
         self._prev = sample
         if burning and not self._burning:
-            self.counters["flame_detected"] += 1
             self._emit(
                 "flame_detected",
                 {"intensity": sample.intensity, "uid": self._context_uid(at)},
                 at,
             )
-            if self._event_out is not None:
-                self._event_out(
-                    "flame_detected",
-                    {"intensity": round(sample.intensity, 3), "threshold": round(threshold, 3)},
-                )
+            self._event_out(
+                "flame_detected",
+                {"intensity": round(sample.intensity, 3), "threshold": round(threshold, 3)},
+            )
         self._burning = burning
         return burning
 
@@ -338,18 +335,15 @@ class SafetyMonitor:
         window before the sample joins it."""
         anomalous = flow_anomaly(self._window, flow)
         if anomalous:
-            self.counters["flow_anomaly"] += 1
             self._emit("flow_anomaly", {"flow": flow, "uid": self._context_uid(at)}, at)
-            if self._event_out is not None:
-                self._event_out("flow_anomaly", {"flow": round(flow, 4)})
+            self._event_out("flow_anomaly", {"flow": round(flow, 4)})
         self._window.push(flow)
         return anomalous
 
     def on_personnel_scan(self, uid: Uid, at: Timestamp) -> None:
         self._last_scan = (uid, at)
         self._emit("personnel_scan", {"uid": uid}, at)
-        if self._event_out is not None:
-            self._event_out("personnel_scan", {"uid": uid.value})
+        self._event_out("personnel_scan", {"uid": uid.value})
 
     def heartbeat(self, at: Timestamp) -> None:
         self._emit("status", {}, at)

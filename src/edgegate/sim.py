@@ -27,7 +27,6 @@ from . import codec, metrics as metrics_mod
 from .auth import (
     AccessEngine,
     CloudQueryPort,
-    PolicyCache,
     PolicyReply,
     ReplyKind,
     check_temporal,
@@ -482,15 +481,17 @@ def _periodic(
 
 class _Device:
     """One device's outbox and uplink, feeding an access engine or a safety
-    monitor according to its role."""
+    monitor according to its role. ``emit`` is the device's one event path:
+    its components and the simulation's per-device events all go through it,
+    so every one carries ``device``."""
 
     engine: AccessEngine
     monitor: SafetyMonitor
 
     def __init__(self, sim: "Simulation", cfg: DeviceConfig) -> None:
         self.cfg = cfg
-        device = cfg.device_id.value
-        events = sim.device_event(device)
+        self.device = device = cfg.device_id.value
+        self._sim_emit = sim.emit
         self.client = SyncClient(
             clock=sim.clock,
             transport=SimTransport(
@@ -503,7 +504,7 @@ class _Device:
             ),
             policy=cfg.retry,
             queue=OutboxQueue(cfg.outbox.capacity, cfg.outbox.overflow),
-            on_event=events,
+            on_event=self.emit,
         )
         if cfg.role == "access":
             self.engine = AccessEngine(
@@ -518,9 +519,8 @@ class _Device:
                     split_rng(sim.scenario.seed, f"net-auth/{device}"),
                 ),
                 config=cfg.auth,
-                cache=PolicyCache(cfg.auth.cache_capacity),
                 record_out=self.client.enqueue,
-                event_out=events,
+                event_out=self.emit,
             )
         else:
             self.monitor = SafetyMonitor(
@@ -530,8 +530,11 @@ class _Device:
                 kalman_q=cfg.kalman.q,
                 kalman_r=cfg.kalman.r,
                 record_out=self.client.enqueue,
-                event_out=events,
+                event_out=self.emit,
             )
+
+    def emit(self, kind: str, data: dict) -> None:
+        self._sim_emit(kind, {"device": self.device, **data})
 
 
 class Simulation:
@@ -576,16 +579,10 @@ class Simulation:
     def emit(self, kind: str, data: dict) -> None:
         self.trace.append(kind, self.clock.now(), data)
 
-    def device_event(self, device: str):
-        def hook(kind: str, data: dict) -> None:
-            self.emit(kind, {"device": device, **data})
-
-        return hook
-
     # -- schedule construction -------------------------------------------------
 
     def _schedule_access(self, dev: _Device) -> None:
-        device = dev.cfg.device_id.value
+        device = dev.device
         arrivals = generate_arrivals(
             device,
             self.scenario.workload.access,
@@ -602,10 +599,9 @@ class Simulation:
         )
 
     def _on_arrival(self, dev: _Device, arrival: _Arrival) -> None:
-        self.emit(
+        dev.emit(
             "card_read",
             {
-                "device": dev.cfg.device_id.value,
                 "request_id": arrival.request_id,
                 "raw_uid": arrival.raw_uid,
                 "intended_uid": arrival.intended_uid,
@@ -616,7 +612,7 @@ class Simulation:
     def _schedule_safety(self, dev: _Device) -> None:
         """One stream each for flame samples, flow samples, personnel scans
         and status heartbeats; their registration order is their tie order."""
-        device = dev.cfg.device_id.value
+        device = dev.device
         duration = self.scenario.duration_s
         monitor = dev.monitor
         now_ts = self.clock.now_ts
@@ -713,10 +709,9 @@ class Simulation:
                             self.truth.flow_anomaly_times.append(t)
             self.clock.run_until(self.scenario.duration_s)
             for dev in self.devices:
-                self.emit(
+                dev.emit(
                     "queue_final",
                     {
-                        "device": dev.cfg.device_id.value,
                         "depth": dev.client.queue_depth(),
                         "dead_letters": len(dev.client.dead_letters),
                     },

@@ -18,7 +18,7 @@ from typing import Callable, Protocol
 
 from . import codec
 from .codec import CloudRecord
-from .core import Timestamp
+from .core import Timestamp, discard
 
 
 class SyncError(Exception):
@@ -90,13 +90,6 @@ class TransportPort(Protocol):
     """Request/response port to the sink: send bytes, get exactly one outcome."""
 
     def send(self, payload: bytes, on_result: Callable[[SendOutcome], None]) -> None: ...
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    key: str
-    row_index: int
-    acked_at: Timestamp
 
 
 class OverflowPolicy(str, Enum):
@@ -189,10 +182,13 @@ class SchedulerPort(Protocol):
 class SyncClient:
     """Single-device flusher: drains the outbox strictly in order.
 
-    State machine per record: send -> (ack: pop, emit receipt) | (failure:
-    sleep backoff, resend). Only the acknowledgement of the most recent send
-    is honored; stale acknowledgements from retransmission races are ignored,
-    and the sink's idempotency-key dedup keeps the table single-copy.
+    State machine per record: send -> (ack: pop, emit ``delivered``) |
+    (failure: sleep backoff, resend). Only the acknowledgement of the most
+    recent send is honored; stale acknowledgements from retransmission races
+    are ignored, and the sink's idempotency-key dedup keeps the table
+    single-copy. What happens to each record is told through ``on_event``
+    only; the client keeps no log of its own beyond the parked
+    ``dead_letters``.
     """
 
     def __init__(
@@ -201,22 +197,16 @@ class SyncClient:
         transport: TransportPort,
         policy: RetryPolicy | None = None,
         queue: OutboxQueue | None = None,
-        on_event: Callable[[str, dict], None] | None = None,
+        on_event: Callable[[str, dict], None] = discard,
     ) -> None:
         self._clock = clock
         self._transport = transport
         self._policy = policy or RetryPolicy()
         self._queue = queue if queue is not None else OutboxQueue()
-        self._on_event = on_event
+        self._emit = on_event
         self._send_serial = 0
         self._in_flight: OutboxEntry | None = None  # sending or waiting out a backoff
-        self.receipts: list[DeliveryReceipt] = []
-        self.dead_letters: list[CloudRecord] = []
-        self.enqueued_total = 0
-
-    @property
-    def queue(self) -> OutboxQueue:
-        return self._queue
+        self.dead_letters: list[CloudRecord] = []  # parked for an operator to re-send
 
     def queue_depth(self) -> int:
         return self._queue.depth()
@@ -242,17 +232,12 @@ class SyncClient:
                 "outbox_dropped",
                 {"key": codec.idempotency_key(evicted.record), "mode": "evicted"},
             )
-        self.enqueued_total += 1
         self._emit(
             "outbox_enqueued",
             {"key": codec.idempotency_key(record), "depth": self._queue.depth()},
         )
         self._maybe_send()
         return True
-
-    def _emit(self, kind: str, data: dict) -> None:
-        if self._on_event is not None:
-            self._on_event(kind, data)
 
     def _maybe_send(self) -> None:
         if self._in_flight is not None:
@@ -280,10 +265,6 @@ class SyncClient:
         if isinstance(outcome, Ack):
             assert self._queue.head() is entry
             self._queue.pop_head()
-            receipt = DeliveryReceipt(
-                key=key, row_index=outcome.row_index, acked_at=self._clock.now_ts()
-            )
-            self.receipts.append(receipt)
             self._emit(
                 "delivered",
                 {
@@ -314,11 +295,10 @@ class SyncClient:
     def idle(self) -> bool:
         return self._in_flight is None and self._queue.depth() == 0
 
-    def flush(self, max_events: int = 10_000_000) -> list[DeliveryReceipt]:
-        """Pump the clock until the queue drains (or nothing is schedulable);
-        returns the receipts gained by this call. Simulated time advances as
-        needed for backoff sleeps and transport latency."""
-        start = len(self.receipts)
+    def flush(self, max_events: int = 10_000_000) -> None:
+        """Pump the clock until the queue drains (or nothing is schedulable).
+        Simulated time advances as needed for backoff sleeps and transport
+        latency; each delivery is told through ``on_event``."""
         self._maybe_send()
         steps = 0
         while not self.idle():
@@ -327,7 +307,6 @@ class SyncClient:
             steps += 1
             if steps >= max_events:
                 raise SyncError("flush exceeded its event budget; transport likely stuck")
-        return self.receipts[start:]
 
 
 def queue_depth(queue: OutboxQueue) -> int:

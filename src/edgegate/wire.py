@@ -230,9 +230,10 @@ class RemoteSink:
         return response
 
     def append(self, token: str, record_bytes: bytes, received_at=None) -> int:
-        response = self._call(
-            {"op": "APPEND", "token": token, "record": record_bytes.decode("utf-8")}
-        )
+        # Bytes that are not UTF-8 cannot travel in a JSON frame; they get
+        # the in-process sink's own parse error, before anything is sent.
+        record = codec.utf8_text(record_bytes)
+        response = self._call({"op": "APPEND", "token": token, "record": record})
         self._raise_on_error(response)
         return int(response["row_index"])
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgegate import codec
 from edgegate.codec import CloudRecord
@@ -119,6 +120,10 @@ class ScriptedTransport:
             on_result(outcome)
 
 
+def delivered(events):
+    return [(d["key"], d["row_index"]) for k, d in events if k == "delivered"]
+
+
 def make_client(script=None, latency_s: float = 0.0, **policy_kwargs):
     clock = SimClock(Timestamp(1_705_300_000))
     transport = ScriptedTransport(clock, script, latency_s)
@@ -138,8 +143,7 @@ class TestSyncClient:
         for i in range(3):
             client.enqueue(record(i))
         client.flush()
-        assert [r.key for r in client.receipts] == ["AC_001:0", "AC_001:1", "AC_001:2"]
-        assert [r.row_index for r in client.receipts] == [0, 1, 2]
+        assert delivered(events) == [("AC_001:0", 0), ("AC_001:1", 1), ("AC_001:2", 2)]
         assert client.queue_depth() == 0
 
     def test_retry_delays_follow_backoff(self):
@@ -148,7 +152,7 @@ class TestSyncClient:
         client.flush()
         # two immediate failures, then success after sleeping 1s and 2s
         assert clock.now() == pytest.approx(3.0)
-        assert len(client.receipts) == 1
+        assert len(delivered(events)) == 1
         attempts = [d["attempt"] for k, d in events if k == "send_attempt"]
         assert attempts == [1, 2, 3]
 
@@ -179,7 +183,7 @@ class TestSyncClient:
         client.flush()
         reasons = [d["reason"] for k, d in events if k == "send_failed"]
         assert reasons == ["timeout"]
-        assert len(client.receipts) == 1
+        assert len(delivered(events)) == 1
 
     def test_dead_letter_after_budget(self):
         client, clock, transport, events = make_client(
@@ -187,7 +191,7 @@ class TestSyncClient:
         )
         client.enqueue(record(0))
         client.flush()
-        assert client.receipts == []
+        assert delivered(events) == []
         assert len(client.dead_letters) == 1
         assert client.queue_depth() == 0  # parked, not queued, never silent
 
@@ -210,11 +214,16 @@ class TestSyncClient:
                 on_result(Ack(0))
                 on_result(Ack(0))  # retransmission race echo
 
-        client = SyncClient(clock=clock, transport=DoubleAckTransport())
+        events = []
+        client = SyncClient(
+            clock=clock,
+            transport=DoubleAckTransport(),
+            on_event=lambda kind, data: events.append((kind, data)),
+        )
         client.enqueue(record(0))
         client.enqueue(record(1))
         client.flush()
-        assert [r.key for r in client.receipts] == ["AC_001:0", "AC_001:1"]
+        assert delivered(events) == [("AC_001:0", 0), ("AC_001:1", 0)]
 
     def test_overflow_rejection_reports_loss(self):
         clock = SimClock(Timestamp(1_705_300_000))
@@ -246,3 +255,62 @@ class TestSyncClient:
         assert client.queue_depth() == 3
         client.flush()
         assert client.queue_depth() == 0
+
+
+class TestEventLedger:
+    """What becomes of each record, read from the client's events alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        script=st.lists(
+            st.sampled_from([Ack(0), Nack("refused"), Nack("refused"), SendTimeout()]),
+            max_size=40,
+        ),
+        steps=st.lists(st.sampled_from([None, None, 0.3, 2.0, 10.0]), min_size=4, max_size=40),
+        max_attempts=st.one_of(st.none(), st.integers(1, 4)),
+        capacity=st.integers(1, 5),
+        overflow=st.sampled_from(list(OverflowPolicy)),
+        latency_s=st.sampled_from([0.0, 0.5]),
+        drain=st.booleans(),
+    )
+    def test_every_offered_record_ends_once(
+        self, script, steps, max_attempts, capacity, overflow, latency_s, drain
+    ):
+        # A step of None offers the next record; a number advances the clock.
+        clock = SimClock(Timestamp(1_705_300_000))
+        events = []
+        client = SyncClient(
+            clock=clock,
+            transport=ScriptedTransport(clock, script, latency_s),
+            policy=RetryPolicy(max_attempts=max_attempts),
+            queue=OutboxQueue(capacity, overflow),
+            on_event=lambda kind, data: events.append((kind, data)),
+        )
+        offered = []
+        for step in steps:
+            if step is None:
+                offered.append(record(len(offered)))
+                client.enqueue(offered[-1])
+            else:
+                clock.run_until(clock.now() + step)
+        if drain:
+            client.flush()
+
+        enqueued = [d["key"] for k, d in events if k == "outbox_enqueued"]
+        ends: dict[str, list[str]] = {}
+        for kind, data in events:
+            if kind in ("delivered", "dead_letter", "outbox_dropped"):
+                end = "rejected" if data.get("mode") == "rejected" else kind
+                ends.setdefault(data["key"], []).append(end)
+        still_queued = [key for key in enqueued if key not in ends]
+        for rec in offered:
+            key = codec.idempotency_key(rec)
+            assert len(ends.get(key, [])) + still_queued.count(key) == 1, key
+            assert (key in enqueued) == (ends.get(key) != ["rejected"]), key
+        assert len(enqueued) == len(set(enqueued))
+        assert len(still_queued) == client.queue_depth()
+        if drain:
+            assert still_queued == []
+
+        delivered_keys = [d["key"] for k, d in events if k == "delivered"]
+        assert delivered_keys == [key for key in enqueued if key in set(delivered_keys)]

@@ -197,3 +197,14 @@ class TestUnencodableRecord:
         with socket.create_connection(server.address, timeout=5) as sock:
             reply = append_lone_surrogate(sock)
         assert reply == {"ok": False, "error": "parse", "message": str(local.value)}
+
+    def test_non_utf8_bytes_fail_alike_on_both_bindings(self, server, remote):
+        twin = CloudSink(TOKEN)
+        errors = []
+        for append in (lambda b: twin.append(TOKEN, b, T0), lambda b: remote.append(TOKEN, b)):
+            with pytest.raises(Exception) as caught:
+                append(b"\xff\xfe")
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0][0] is ParseError
+        assert errors[1] == errors[0]
+        assert len(server.sink.table) == 0
