@@ -17,7 +17,7 @@ from . import metrics as metrics_mod
 from . import sim
 from .scenario import ConfigError, Scenario, load_scenario
 from .sink import DEFAULT_TOKEN, state_to_csv, state_to_json
-from .trace import EventTrace, GroundTruth, TraceError
+from .trace import TraceError
 from .wire import SinkServer
 
 TOKEN_ENV = "EDGEGATE_SINK_TOKEN"
@@ -89,13 +89,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The trace streams into a side file that becomes trace.jsonl only once
+    # the run has finished, so a failed run leaves no partial trace.
+    partial = out_dir / "trace.jsonl.part"
     try:
         simulation = sim.Simulation(scenario)
-        trace, report = simulation.run()
-        (out_dir / "trace.jsonl").write_bytes(trace.to_jsonl())
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            _, report = simulation.run(writer=fh.write)
+        os.replace(partial, out_dir / "trace.jsonl")
         (out_dir / "report.json").write_bytes(report.to_json())
         (out_dir / "sink.json").write_bytes(state_to_json(simulation.sink.state_dict()))
     except Exception as exc:  # noqa: BLE001 - surface any runtime failure as exit 2
+        partial.unlink(missing_ok=True)
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(metrics_mod.render_report(report, "text").decode("utf-8"))
@@ -105,13 +110,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
-        trace = EventTrace.from_jsonl(Path(args.trace).read_bytes())
+        with open(args.trace, "rb") as fh:
+            report = metrics_mod.replay(fh)
     except (TraceError, OSError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 1
-    try:
-        truth = GroundTruth.from_trace(trace)
-        report = metrics_mod.compute_metrics(trace, truth)
     except Exception as exc:  # noqa: BLE001
         print(f"replay failed: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .trace import EventTrace, GroundTruth
+from .trace import EventTrace, GroundTruth, TraceError, read_jsonl
 
 _SERIES_MAX_POINTS = 512
 
@@ -104,150 +105,205 @@ _DEPTH_KINDS = frozenset(("outbox_enqueued", "delivered", "dead_letter"))
 _NONE_YET = object()
 
 
-def compute_metrics(trace: EventTrace, truth: GroundTruth) -> MetricsReport:
-    """Score a trace against its ground truth. Pure function of its inputs.
+class MetricsFold:
+    """The scorer as a fold: ``feed(t, kind, data)`` once per event, in trace
+    order, then ``finish()`` for the report. A run feeds it as it emits and a
+    replay as it reads, so neither keeps its events.
 
-    One pass over the events gathers every count and sample; the queue-depth
-    series keeps a running total of the per-device depths.
+    What it holds grows with the records and samples the report needs, kept
+    as flat lists of numbers and keys; the queue-depth series keeps a running
+    total of the per-device depths.
     """
-    labels = truth.request_labels
-    unknown_decision = unknown_read = _NONE_YET
-    granted = denied = 0
-    false_grants = false_denials = 0
-    authorized_attempts = unauthorized_attempts = 0
-    response_ms: list[float] = []
-    enqueue_times: dict[str, float] = {}
-    deliveries: list[tuple[float, str]] = []
-    drops = rejected_drops = dead_lettered = still_queued = 0
-    rejected_input = gate_busy = 0
-    flame_times: list[float] = []
-    flow_times: list[float] = []
-    series: list[list[float]] = []
-    depth_by_device: dict[str, int] = {}
-    total_depth = 0
 
-    for event in trace.events:
-        kind = event.kind
-        data = event.data
+    def __init__(self, truth: GroundTruth) -> None:
+        self._truth = truth
+        self._labels = truth.request_labels
+        self._unknown_decision = self._unknown_read = _NONE_YET
+        self._granted = self._denied = 0
+        self._false_grants = self._false_denials = 0
+        self._authorized_attempts = self._unauthorized_attempts = 0
+        self._response_ms: list[float] = []
+        self._enqueue_times: dict[str, float] = {}
+        self._delivery_times: list[float] = []
+        self._delivery_keys: list[str] = []
+        self._drops = self._rejected_drops = self._dead_lettered = self._still_queued = 0
+        self._rejected_input = self._gate_busy = 0
+        self._flame_times: list[float] = []
+        self._flow_times: list[float] = []
+        self._series: list[float] = []  # t, depth, t, depth, ...
+        self._depth_by_device: dict[str, int] = {}
+        self._total_depth = 0
+
+    def feed(self, t: float, kind: str, data: dict) -> None:
         if kind in _DEPTH_KINDS:
             device = data["device"]
             depth = data["depth"]
-            total_depth += depth - depth_by_device.get(device, 0)
-            depth_by_device[device] = depth
-            series.append([event.t, float(total_depth)])
+            depths = self._depth_by_device
+            self._total_depth += depth - depths.get(device, 0)
+            depths[device] = depth
+            self._series += (t, float(self._total_depth))
             if kind == "outbox_enqueued":
-                enqueue_times.setdefault(data["key"], event.t)
+                self._enqueue_times.setdefault(data["key"], t)
             elif kind == "delivered":
-                deliveries.append((event.t, data["key"]))
+                self._delivery_times.append(t)
+                self._delivery_keys.append(data["key"])
             else:
-                dead_lettered += 1
+                self._dead_lettered += 1
         elif kind == "auth_decision":
             rid = data.get("request_id")
-            if rid not in labels:
-                if unknown_decision is _NONE_YET:
-                    unknown_decision = rid
-                continue
-            label = labels[rid]
+            if rid not in self._labels:
+                if self._unknown_decision is _NONE_YET:
+                    self._unknown_decision = rid
+                return
+            label = self._labels[rid]
             outcome = data["outcome"]
-            response_ms.append(float(data["latency_ms"]))
+            self._response_ms.append(float(data["latency_ms"]))
             if outcome == "granted":
-                granted += 1
+                self._granted += 1
             else:
-                denied += 1
+                self._denied += 1
             if label == "authorized":
-                authorized_attempts += 1
+                self._authorized_attempts += 1
                 if outcome == "denied":
-                    false_denials += 1
+                    self._false_denials += 1
             elif label == "unauthorized":
-                unauthorized_attempts += 1
+                self._unauthorized_attempts += 1
                 if outcome == "granted":
-                    false_grants += 1
+                    self._false_grants += 1
         elif kind == "card_read":
             rid = data.get("request_id")
-            if rid not in labels and unknown_read is _NONE_YET:
-                unknown_read = rid
+            if rid not in self._labels and self._unknown_read is _NONE_YET:
+                self._unknown_read = rid
         elif kind == "outbox_dropped":
-            drops += 1
+            self._drops += 1
             if data.get("mode") == "rejected":
-                rejected_drops += 1
+                self._rejected_drops += 1
         elif kind == "queue_final":
-            still_queued += data["depth"]
+            self._still_queued += data["depth"]
         elif kind == "rejected_input":
-            rejected_input += 1
+            self._rejected_input += 1
         elif kind == "gate_busy":
-            gate_busy += 1
+            self._gate_busy += 1
         elif kind == "flame_detected":
-            flame_times.append(event.t)
+            self._flame_times.append(t)
         elif kind == "flow_anomaly":
-            flow_times.append(event.t)
+            self._flow_times.append(t)
 
-    if unknown_decision is not _NONE_YET:
-        raise MismatchedTruthError(f"decision for unknown request {unknown_decision!r}")
-    if unknown_read is not _NONE_YET:
-        raise MismatchedTruthError(f"card read for unknown request {unknown_read!r}")
+    def finish(self) -> MetricsReport:
+        if self._unknown_decision is not _NONE_YET:
+            raise MismatchedTruthError(f"decision for unknown request {self._unknown_decision!r}")
+        if self._unknown_read is not _NONE_YET:
+            raise MismatchedTruthError(f"card read for unknown request {self._unknown_read!r}")
 
-    valid_attempts = authorized_attempts + unauthorized_attempts
-    accuracy = (
-        1.0 - (false_grants + false_denials) / valid_attempts if valid_attempts else None
-    )
-    far = false_grants / unauthorized_attempts if unauthorized_attempts else None
-    frr = false_denials / authorized_attempts if authorized_attempts else None
+        false_grants, false_denials = self._false_grants, self._false_denials
+        authorized, unauthorized = self._authorized_attempts, self._unauthorized_attempts
+        valid_attempts = authorized + unauthorized
+        accuracy = (
+            1.0 - (false_grants + false_denials) / valid_attempts if valid_attempts else None
+        )
+        far = false_grants / unauthorized if unauthorized else None
+        frr = false_denials / authorized if authorized else None
 
-    delivery_latency = [t - enqueue_times[key] for t, key in deliveries if key in enqueue_times]
-    enqueued = len(enqueue_times) + rejected_drops  # records offered to the outbox
-    delivered = len(deliveries)
-    logging_success = delivered / enqueued if enqueued else None
+        enqueue_times = self._enqueue_times
+        delivery_latency = [
+            t - enqueue_times[key]
+            for t, key in zip(self._delivery_times, self._delivery_keys)
+            if key in enqueue_times
+        ]
+        enqueued = len(enqueue_times) + self._rejected_drops  # records offered to the outbox
+        delivered = len(self._delivery_keys)
+        logging_success = delivered / enqueued if enqueued else None
 
-    counts = {
-        "granted": granted,
-        "denied": denied,
-        "rejected_input": rejected_input,
-        "gate_busy": gate_busy,
-        "enqueued": enqueued,
-        "delivered": delivered,
-        "dead_lettered": dead_lettered,
-        "dropped": drops,
-        "still_queued": still_queued,
-    }
+        counts = {
+            "granted": self._granted,
+            "denied": self._denied,
+            "rejected_input": self._rejected_input,
+            "gate_busy": self._gate_busy,
+            "enqueued": enqueued,
+            "delivered": delivered,
+            "dead_lettered": self._dead_lettered,
+            "dropped": self._drops,
+            "still_queued": self._still_queued,
+        }
 
-    if len(series) > _SERIES_MAX_POINTS:
-        stride = -(-len(series) // _SERIES_MAX_POINTS)
-        series = series[::stride]
+        flat = self._series
+        stride = max(1, -(-len(flat) // (2 * _SERIES_MAX_POINTS)))  # ceil(points / max)
+        series = [[flat[i], flat[i + 1]] for i in range(0, len(flat), 2 * stride)]
 
-    return MetricsReport(
-        auth_accuracy=accuracy,
-        far=far,
-        frr=frr,
-        response_mean_ms=_mean(response_ms),
-        response_p95_ms=_p95(response_ms),
-        logging_success=logging_success,
-        latency_mean_s=_mean(delivery_latency),
-        latency_p95_s=_p95(delivery_latency),
-        counts=counts,
-        detection=_detection_metrics(flame_times, flow_times, truth),
-        queue_depth_series=series,
-    )
+        return MetricsReport(
+            auth_accuracy=accuracy,
+            far=far,
+            frr=frr,
+            response_mean_ms=_mean(self._response_ms),
+            response_p95_ms=_p95(self._response_ms),
+            logging_success=logging_success,
+            latency_mean_s=_mean(delivery_latency),
+            latency_p95_s=_p95(delivery_latency),
+            counts=counts,
+            detection=_detection_metrics(self._flame_times, self._flow_times, self._truth),
+            queue_depth_series=series,
+        )
+
+
+def compute_metrics(trace: EventTrace, truth: GroundTruth) -> MetricsReport:
+    """Score a kept trace against its ground truth. Pure function of its inputs."""
+    fold = MetricsFold(truth)
+    for event in trace.events:
+        fold.feed(event.t, event.kind, event.data)
+    return fold.finish()
+
+
+def replay(lines: Iterable[bytes]) -> MetricsReport:
+    """Score a saved trace, read line by line, against the truth in its meta
+    line; ``lines`` is a binary file or anything that yields its lines.
+
+    A bad line raises ``TraceError`` and a scoring failure its own error, as
+    when the trace is loaded whole with ``EventTrace.from_jsonl`` and then
+    scored: after a scoring failure the rest of the file is still read, so a
+    bad line further down wins.
+    """
+    meta, events = read_jsonl(lines)
+    try:
+        fold = MetricsFold(GroundTruth.from_dict(meta.get("truth", {})))
+        for t, _, kind, data in events:
+            fold.feed(t, kind, data)
+        return fold.finish()
+    except TraceError:
+        raise
+    except Exception:
+        for _ in events:
+            pass
+        raise
 
 
 def _detection_metrics(
     flame_times: list[float], flow_times: list[float], truth: GroundTruth
 ) -> dict:
+    """Flame detections scored per episode, flow alarms per injected anomaly
+    (matched within 1e-6 s), each by one sweep over time-ordered lists."""
+    flame = sorted(flame_times)
+    episodes = sorted(truth.flame_episodes)
     episodes_detected = 0
-    in_episode = 0
-    for start, end in truth.flame_episodes:
-        if any(start <= t <= end for t in flame_times):
+    j = 0
+    for start, end in episodes:  # is there a detection in [start, end]?
+        while j < len(flame) and flame[j] < start:
+            j += 1
+        if j < len(flame) and flame[j] <= end:
             episodes_detected += 1
-    for t in flame_times:
-        if any(start <= t <= end for start, end in truth.flame_episodes):
+    in_episode = 0
+    i = 0
+    reach = float("-inf")  # latest end among the episodes started so far
+    for t in flame:  # does a started episode still cover t?
+        while i < len(episodes) and episodes[i][0] <= t:
+            reach = max(reach, episodes[i][1])
+            i += 1
+        if t <= reach:
             in_episode += 1
 
-    truth_times = truth.flow_anomaly_times
-    matched_truth = sum(
-        1 for t in truth_times if any(abs(t - d) <= 1e-6 for d in flow_times)
-    )
-    matched_events = sum(
-        1 for d in flow_times if any(abs(t - d) <= 1e-6 for t in truth_times)
-    )
+    truth_times = sorted(truth.flow_anomaly_times)
+    flow = sorted(flow_times)
+    matched_truth = _count_matched(truth_times, flow)
+    matched_events = _count_matched(flow, truth_times)
 
     n_ep = len(truth.flame_episodes)
     n_flame = len(flame_times)
@@ -265,6 +321,21 @@ def _detection_metrics(
         "flow_recall": matched_truth / n_truth if n_truth else None,
         "flow_precision": matched_events / n_flow if n_flow else None,
     }
+
+
+def _count_matched(times: list[float], others: list[float]) -> int:
+    """How many of ``times`` lie within 1e-6 of some time in ``others``; both
+    sorted. The computed ``abs(t - d)`` only grows as ``d`` moves away from
+    ``t``, so the candidates for ``t`` start at the first ``d`` not too far
+    below it, and that start only moves forward as ``t`` grows."""
+    matched = 0
+    j = 0
+    for t in times:
+        while j < len(others) and others[j] < t and abs(t - others[j]) > 1e-6:
+            j += 1
+        if j < len(others) and abs(t - others[j]) <= 1e-6:
+            matched += 1
+    return matched
 
 
 # ---------------------------------------------------------------------------

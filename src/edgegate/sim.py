@@ -559,14 +559,6 @@ class Simulation:
             self.sink_port = self.sink
 
         self.truth = GroundTruth()
-        self.trace = EventTrace(
-            meta={
-                "schema": 1,
-                "seed": scenario.seed,
-                "start_time": scenario.start_time.iso8601(),
-                "duration_s": scenario.duration_s,
-            }
-        )
         self._authz = {p.uid: p for p in scenario.authz}
         # Access devices first: scheduling order sets same-instant tie order.
         self.devices = [
@@ -577,7 +569,9 @@ class Simulation:
     # -- trace plumbing ------------------------------------------------------
 
     def emit(self, kind: str, data: dict) -> None:
-        self.trace.append(kind, self.clock.now(), data)
+        t = self.clock.now()
+        self.trace.append(kind, t, data)
+        self.score.feed(t, kind, data)
 
     # -- schedule construction -------------------------------------------------
 
@@ -682,9 +676,15 @@ class Simulation:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self) -> tuple[EventTrace, "metrics_mod.MetricsReport"]:
+    def run(
+        self, writer: Callable[[str], object] | None = None
+    ) -> tuple[EventTrace, "metrics_mod.MetricsReport"]:
+        """Schedule and run the scenario, scoring each event as it is emitted.
+
+        ``writer`` receives the trace line by line (see ``EventTrace``); the
+        returned trace then keeps no lines. Without one it keeps them all.
+        """
         try:
-            self.emit("sim_start", {"seed": self.scenario.seed})
             for dev in self.devices:
                 if dev.cfg.role == "access":
                     self._schedule_access(dev)
@@ -707,6 +707,20 @@ class Simulation:
                         t = flow.step_of(a.at_s) * flow.sample_period_s
                         if t < self.scenario.duration_s:
                             self.truth.flow_anomaly_times.append(t)
+            # The ground truth is complete once scheduling is done, so the
+            # meta line can go out before the first event.
+            self.trace = EventTrace(
+                meta={
+                    "schema": 1,
+                    "seed": self.scenario.seed,
+                    "start_time": self.scenario.start_time.iso8601(),
+                    "duration_s": self.scenario.duration_s,
+                    "truth": self.truth.to_dict(),
+                },
+                writer=writer,
+            )
+            self.score = metrics_mod.MetricsFold(self.truth)
+            self.emit("sim_start", {"seed": self.scenario.seed})
             self.clock.run_until(self.scenario.duration_s)
             for dev in self.devices:
                 dev.emit(
@@ -717,9 +731,7 @@ class Simulation:
                     },
                 )
             self.emit("sim_end", {})
-            self.trace.meta["truth"] = self.truth.to_dict()
-            report = metrics_mod.compute_metrics(self.trace, self.truth)
-            return self.trace, report
+            return self.trace, self.score.finish()
         finally:
             if self._server is not None:
                 if isinstance(self.sink_port, RemoteSink):
@@ -729,5 +741,5 @@ class Simulation:
 
 
 def run(scenario: Scenario) -> tuple[EventTrace, "metrics_mod.MetricsReport"]:
-    """Execute a scenario deterministically; returns its trace and report."""
+    """Execute a scenario deterministically; returns its kept trace and report."""
     return Simulation(scenario).run()

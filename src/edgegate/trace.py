@@ -6,6 +6,13 @@ lifecycle markers. Event times are seconds relative to scenario start, and
 ordering is (time, sequence number) with sequence assigned at append, so a
 trace serializes to line-delimited JSON byte-identically run after run.
 
+Each event is encoded to its line once, when it is appended, and handed to
+the trace's writer; a run holds no event objects. ``edgegate run`` streams
+the lines into ``trace.jsonl``; a trace built without a writer keeps them in
+memory, for tests and ``to_jsonl``. Reading goes the other way line by line
+(``read_jsonl``), splitting at line feeds only: ``compact_json`` writes
+U+2028, U+2029 and U+0085 raw inside strings, so they are not line breaks.
+
 Ground truth travels in the trace's meta line: per-request labels assigned
 by the workload generator plus the scheduled sensor episodes, which is what
 lets a saved trace be re-scored without the scenario that produced it.
@@ -13,8 +20,10 @@ lets a saved trace be re-scored without the scenario that produced it.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 from .codec import compact_json
 
@@ -31,64 +40,115 @@ class TraceEvent:
     data: dict
 
 
-class EventTrace:
-    """Append-only, replayable event log for one simulation run."""
+def _meta_line(meta: dict) -> str:
+    return compact_json({"kind": "meta", **meta}) + "\n"
 
-    def __init__(self, meta: dict | None = None) -> None:
+
+class EventTrace:
+    """Append-only, replayable event log for one simulation run.
+
+    ``writer`` takes one line at a time, line feed included. Given one, the
+    trace writes its meta line at once, so ``meta`` must already be complete,
+    and then each event's line as it is appended; it keeps nothing. Without
+    one, the trace keeps its event lines, ``meta`` may change until
+    ``to_jsonl``, and ``events`` decodes the lines back.
+    """
+
+    def __init__(
+        self, meta: dict | None = None, writer: Callable[[str], object] | None = None
+    ) -> None:
         self.meta: dict = meta or {}
-        self.events: list[TraceEvent] = []
+        self._lines: list[str] | None = None
+        self._decoded: list[TraceEvent] = []
+        if writer is None:
+            self._lines = []
+            writer = self._lines.append
+        else:
+            writer(_meta_line(self.meta))
+        self._write = writer
         self._seq = 0
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def append(self, kind: str, t: float, data: dict) -> int:
+        """Encode the event and hand its line to the writer; returns its
+        sequence number."""
+        seq = self._seq
+        self._seq = seq + 1
+        self._write(compact_json({"t": t, "seq": seq, "kind": kind, "data": data}) + "\n")
+        return seq
 
-    def append(self, kind: str, t: float, data: dict) -> TraceEvent:
-        event = TraceEvent(t=t, seq=self._seq, kind=kind, data=data)
-        self._seq += 1
-        self.events.append(event)
-        return event
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The kept events, each line decoded on first use."""
+        lines = self._kept()
+        decoded = self._decoded
+        decoded.extend(TraceEvent(**json.loads(line)) for line in lines[len(decoded):])
+        return decoded
 
     def by_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
     def to_jsonl(self) -> bytes:
-        lines = [compact_json({"kind": "meta", **self.meta})]
-        lines.extend(
-            compact_json({"t": e.t, "seq": e.seq, "kind": e.kind, "data": e.data})
-            for e in self.events
-        )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return (_meta_line(self.meta) + "".join(self._kept())).encode("utf-8")
+
+    def _kept(self) -> list[str]:
+        if self._lines is None:
+            raise TraceError("trace was streamed to its writer and kept no lines")
+        return self._lines
 
     @classmethod
     def from_jsonl(cls, payload: bytes) -> "EventTrace":
-        lines = payload.decode("utf-8").splitlines()
-        if not lines:
-            raise TraceError("empty trace")
-        try:
-            head = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"bad meta line: {exc}") from None
-        if not isinstance(head, dict) or head.get("kind") != "meta":
-            raise TraceError("first trace line must be the meta record")
-        meta = {k: v for k, v in head.items() if k != "kind"}
+        """Parse a whole trace, keeping each event's sequence number."""
+        meta, events = read_jsonl(io.BytesIO(payload))
         trace = cls(meta=meta)
-        for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"line {i}: {exc}") from None
-            try:
-                event = TraceEvent(
-                    t=float(obj["t"]), seq=int(obj["seq"]), kind=str(obj["kind"]),
-                    data=dict(obj.get("data", {})),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceError(f"line {i}: bad event: {exc}") from None
-            trace.events.append(event)
-        trace._seq = trace.events[-1].seq + 1 if trace.events else 0
+        for t, seq, kind, data in events:
+            trace._seq = seq
+            trace.append(kind, t, data)
         return trace
+
+
+def read_jsonl(lines: Iterable[bytes]) -> tuple[dict, Iterator[tuple[float, int, str, dict]]]:
+    """Parse a trace given as byte lines split at line feeds only, as
+    iterating a binary file gives them.
+
+    Returns the meta record, checked at once, and an iterator over the events
+    as ``(t, seq, kind, data)`` that parses one line per step. Both raise
+    ``TraceError`` naming the bad line; blank event lines are skipped.
+    """
+    numbered = enumerate(lines, start=1)
+    first = next(numbered, None)
+    if first is None:
+        raise TraceError("empty trace")
+    try:
+        head = json.loads(_decode(*first))
+    except json.JSONDecodeError as exc:
+        raise TraceError(f"bad meta line: {exc}") from None
+    if not isinstance(head, dict) or head.get("kind") != "meta":
+        raise TraceError("first trace line must be the meta record")
+    return {k: v for k, v in head.items() if k != "kind"}, _read_events(numbered)
+
+
+def _decode(i: int, raw: bytes) -> str:
+    """One line as text, without its line break."""
+    try:
+        return raw.decode("utf-8").removesuffix("\n")
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"line {i}: {exc}") from None
+
+
+def _read_events(numbered: Iterator[tuple[int, bytes]]) -> Iterator[tuple[float, int, str, dict]]:
+    for i, raw in numbered:
+        line = _decode(i, raw)
+        if not line or line.isspace():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"line {i}: {exc}") from None
+        try:
+            event = float(obj["t"]), int(obj["seq"]), str(obj["kind"]), dict(obj.get("data", {}))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"line {i}: bad event: {exc}") from None
+        yield event
 
 
 @dataclass

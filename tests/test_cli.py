@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from edgegate import sim
 from edgegate.cli import effective_token, main
 from edgegate.sink import DEFAULT_TOKEN
 
@@ -63,6 +64,25 @@ class TestRun:
     def test_config_error_exits_one(self, bad_scenario, tmp_path):
         assert main(["run", str(bad_scenario), "--out", str(tmp_path / "o")]) == 1
 
+    def test_run_failing_midway_leaves_no_partial_trace(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(GOOD), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        run_until = sim.SimClock.run_until
+
+        def fail_midway(clock, t_end):
+            run_until(clock, t_end / 2)  # events have streamed out by now
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(sim.SimClock, "run_until", fail_midway)
+        capsys.readouterr()
+        assert main(["run", str(GOOD), "--seed", "3", "--out", str(out)]) == 2
+        assert "run failed: injected failure" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        fresh = tmp_path / "fresh"
+        assert main(["run", str(GOOD), "--out", str(fresh)]) == 2
+        assert list(fresh.iterdir()) == []
+
 
 class TestReplay:
     def test_replay_matches_run_report(self, tmp_path, capsys):
@@ -84,6 +104,38 @@ class TestReplay:
         path = tmp_path / "junk.jsonl"
         path.write_text("not json\n", encoding="utf-8")
         assert main(["replay", str(path)]) == 1
+
+    def test_non_utf8_trace_exits_one_naming_the_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", str(GOOD), "--out", str(out)])
+        capsys.readouterr()
+        lines = (out / "trace.jsonl").read_bytes().split(b"\n")
+        lines[4] = lines[4][:10] + b"\xff" + lines[4][10:]
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["replay", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "cannot read trace: line 5: 'utf-8' codec can't decode byte 0xff in position 10"
+        )
+
+    def test_scoring_failure_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"kind":"meta","truth":{}}\n'
+            b'{"t":0.0,"seq":0,"kind":"auth_decision","data":{"request_id":"r0"}}\n'
+        )
+        assert main(["replay", str(path)]) == 2
+        assert "replay failed: decision for unknown request 'r0'" in capsys.readouterr().err
+
+    def test_bad_line_after_scoring_failure_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"kind":"meta","truth":{}}\n'
+            b'{"t":0.0,"seq":0,"kind":"delivered","data":{}}\n'
+            b'{"t":1.0,\n'
+        )
+        assert main(["replay", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("cannot read trace: line 3: ")
 
 
 class TestExport:

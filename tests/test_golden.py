@@ -42,3 +42,13 @@ def test_bundled_scenario_outputs_unchanged(name, tmp_path, monkeypatch, capsys)
         f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]
     }
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_scenario_replays_to_its_report(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.TOKEN_ENV, raising=False)
+    assert cli.main(["run", str(SCENARIOS / f"{name}.yaml"), "--out", str(tmp_path)]) == 0
+    replayed = tmp_path / "replay.json"
+    assert cli.main(["replay", str(tmp_path / "trace.jsonl"), "--out", str(replayed)]) == 0
+    assert replayed.read_bytes() == (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(replayed.read_bytes()).hexdigest() == GOLDEN[name]["report.json"]

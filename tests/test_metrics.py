@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from edgegate.metrics import (
     _p95,
     compute_metrics,
     render_report,
+    replay,
 )
 from edgegate.scenario import (
     ArrivalConfig,
@@ -24,7 +26,7 @@ from edgegate.scenario import (
     load_scenario,
 )
 from edgegate.sim import run
-from edgegate.trace import EventTrace, GroundTruth
+from edgegate.trace import EventTrace, GroundTruth, TraceError
 
 from conftest import always_open_policy
 
@@ -435,3 +437,92 @@ class TestAgreesWithReference:
         report = compute_metrics(trace, GroundTruth())
         assert len(report.queue_depth_series) == 434  # every 3rd of 1300
         assert report.to_dict() == reference_compute_metrics(trace, GroundTruth()).to_dict()
+
+    def test_many_flow_alarms_and_flame_detections(self):
+        """Sizes of a multi-day run: more than 10,000 flow alarms and 2,000
+        flame detections, scored against overlapping, nested, unsorted and
+        inverted episodes and against anomaly times on, near and just past
+        the 1e-6 s match tolerance."""
+        rnd = random.Random(5)
+        trace = EventTrace()
+        flow_times = [k * 2.0 for k in range(12_000)]
+        flame_times = sorted(rnd.uniform(0.0, 24_000.0) for _ in range(2_000))
+        events = [(t, "flow_anomaly") for t in flow_times]
+        events += [(t, "flame_detected") for t in flame_times]
+        for t, kind in sorted(events):
+            trace.append(kind, t, {"device": "SM_001"})
+        anomaly_times = [rnd.choice(flow_times) + rnd.choice((0.0, 5e-7, -5e-7, 1e-6, 2e-6, 1.0))
+                         for _ in range(300)]
+        episodes = [(s, s + rnd.choice((0.0, 1.0, 30.0, 600.0))) for s in
+                    (rnd.uniform(0.0, 24_000.0) for _ in range(250))]
+        episodes += [(100.0, 5_000.0), (200.0, 300.0), (900.0, 800.0)]
+        rnd.shuffle(episodes)
+        truth = GroundTruth(flame_episodes=episodes, flow_anomaly_times=anomaly_times)
+        detection = compute_metrics(trace, truth).detection
+        assert detection["flow_events"] == 12_000
+        assert 0 < detection["flow_anomalies_detected"] < 300
+        assert 0 < detection["flame_episodes_detected"] < len(episodes)
+        assert detection == reference_compute_metrics(trace, truth).detection
+
+
+def loaded_then_scored(payload: bytes):
+    """What replay gave when it loaded the whole trace before scoring it."""
+    try:
+        trace = EventTrace.from_jsonl(payload)
+    except TraceError as exc:
+        return ("TraceError", str(exc))
+    try:
+        return compute_metrics(trace, GroundTruth.from_trace(trace)).to_dict()
+    except Exception as exc:  # noqa: BLE001
+        return (type(exc).__name__, str(exc))
+
+
+def streamed(payload: bytes):
+    try:
+        return replay(io.BytesIO(payload)).to_dict()
+    except Exception as exc:  # noqa: BLE001
+        return (type(exc).__name__, str(exc))
+
+
+DAMAGE = (b"\xff", b"\n", b"{", b"}", b'"', b",", b"\xe2\x80\xa8", b"[]\n", b"\n\n", b"x")
+
+
+@st.composite
+def damaged_payloads(draw) -> bytes:
+    """A scored trace's bytes with a few random insertions, cuts and
+    truncations."""
+    trace, truth = draw(scored_traces())
+    trace.meta["truth"] = truth.to_dict()
+    payload = bytearray(trace.to_jsonl())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("insert", "cut", "truncate")))
+        at = draw(st.integers(0, len(payload)))
+        if op == "insert":
+            payload[at:at] = draw(st.sampled_from(DAMAGE))
+        elif op == "cut":
+            del payload[at:at + draw(st.integers(1, 60))]
+        else:
+            del payload[at:]
+    return bytes(payload)
+
+
+class TestStreamingReplay:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scored_traces())
+    def test_replay_of_to_jsonl_equals_compute_metrics(self, case):
+        trace, truth = case
+        trace.meta["truth"] = truth.to_dict()
+        assert streamed(trace.to_jsonl()) == outcome_of(compute_metrics, trace, truth)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(damaged_payloads())
+    def test_damaged_payload_fails_as_when_loaded_whole(self, payload):
+        assert streamed(payload) == loaded_then_scored(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"\n", b"not json\n", b"[1]\n", b'{"kind":"meta"}\n{"t":1}\n',
+         b'{"kind":"meta","truth":[]}\n', b'{"kind":"meta"}\n\xff\n'],
+    )
+    def test_fixed_malformed_payloads(self, payload):
+        assert streamed(payload) == loaded_then_scored(payload)

@@ -40,7 +40,7 @@ from edgegate.sim import (
 from edgegate.safety import SafetyMonitor
 from edgegate.sink import DEFAULT_TOKEN, CloudSink
 from edgegate.sync import Ack, RetryPolicy, SyncClient
-from edgegate.trace import EventTrace, GroundTruth
+from edgegate.trace import EventTrace, GroundTruth, TraceError
 from edgegate.wire import RemoteSink, SinkServer
 
 from conftest import always_open_policy
@@ -459,6 +459,17 @@ class TestTraceSerialization:
         assert parsed.meta == trace.meta
         assert parsed.events == trace.events
         assert GroundTruth.from_trace(parsed).request_labels
+
+    def test_streamed_run_writes_what_a_kept_run_keeps(self):
+        scenario = scenario_base(duration_s=300.0)
+        lines: list[str] = []
+        streamed, streamed_report = Simulation(scenario).run(writer=lines.append)
+        kept, kept_report = run(scenario)
+        assert "".join(lines).encode("utf-8") == kept.to_jsonl()
+        assert streamed_report == kept_report
+        assert streamed.meta == kept.meta
+        with pytest.raises(TraceError):
+            streamed.to_jsonl()
 
     def test_events_totally_ordered(self):
         trace, _ = run(scenario_base())
