@@ -13,7 +13,9 @@ reports its absence so the sink can assign one from arrival order.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring
 
 from .core import CoreError, DeviceId, Timestamp
 
@@ -88,9 +90,26 @@ class CloudRecord:
         _check_data(self.data)
 
 
-# One compact JSON encoder, reused by every caller: ``json.dumps`` with
-# non-default arguments builds a new encoder on each call.
-compact_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+def _compact_encoder() -> Callable[[object], str]:
+    """``json.dumps(obj, separators=(",", ":"), ensure_ascii=False)`` as one
+    encoder built once. ``JSONEncoder.encode`` builds a new C encoder on
+    every call, and ``json.dumps`` a new ``JSONEncoder`` as well.
+
+    The C encoder gets no circular-reference check: its marker dict would
+    be shared by every call, and an encode that raises leaves its entries
+    behind. Callers encode trees they built; a cycle raises RecursionError.
+    """
+    reference = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+    if c_make_encoder is None:
+        return reference.encode
+    chunks = c_make_encoder(
+        None, reference.default, encode_basestring, None, ":", ",", False, False, True
+    )
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+# Every trace line, record and wire frame is encoded by this one function.
+compact_json = _compact_encoder()
 
 
 def envelope(record: CloudRecord) -> dict:
@@ -140,7 +159,7 @@ def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
     text = utf8_text(payload)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"payload is not JSON: {exc}") from None
 
     if not isinstance(obj, dict):

@@ -44,7 +44,7 @@ from .scenario import (
 from .sink import CloudSink, UnauthorizedError, UnavailableError
 from .sync import Ack, Nack, OutboxQueue, SendOutcome, SendTimeout, SyncClient
 from .trace import EventTrace, GroundTruth
-from .wire import RemoteSink, SinkServer, WireError
+from .wire import SinkServer, WireError
 
 
 class SimError(Exception):
@@ -553,8 +553,10 @@ class Simulation:
         self.sink.seed_policies(list(scenario.authz))
         self._server: SinkServer | None = None
         if scenario.sink.mode == "socket":
-            self._server = SinkServer(self.sink, clock=self.clock).start()
-            self.sink_port = RemoteSink(*self._server.address)
+            # The run drives the server's loop while it waits for each reply,
+            # so it stays on one thread and reads the sink clock there.
+            self._server = SinkServer(self.sink, clock=self.clock)
+            self.sink_port = self._server.connect()
         else:
             self.sink_port = self.sink
 
@@ -734,8 +736,7 @@ class Simulation:
             return self.trace, self.score.finish()
         finally:
             if self._server is not None:
-                if isinstance(self.sink_port, RemoteSink):
-                    self.sink_port.close()
+                self.sink_port.close()
                 self._server.stop()
                 self._server = None
 

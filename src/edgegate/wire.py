@@ -5,13 +5,18 @@ followed by a UTF-8 JSON body. Requests carry an ``op`` of APPEND, QUERY or
 EXPORT; responses carry ``ok`` plus either the result fields or an ``error``
 code that maps one-to-one onto the in-process exception types, so a client
 talking over the socket observes exactly the behavior of a local sink.
+
+One non-blocking ``selectors`` loop serves every connection. It runs on a
+thread of its own (``SinkServer.start``, ``serve_forever``), or, for a client
+from ``SinkServer.connect``, on the client's thread while that client waits
+for a reply, so a simulation talks to its sink over TCP from one thread.
 """
 
 from __future__ import annotations
 
 import json
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 
@@ -21,8 +26,8 @@ from .sink import CloudSink, UnauthorizedError, UnavailableError
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LEN = struct.Struct(">I")
-# How often the serving loop checks for shutdown; bounds how long stop() waits.
-_POLL_INTERVAL_S = 0.05
+# Bytes asked of one recv; a larger frame arrives over several.
+_RECV_BYTES = 64 * 1024
 
 
 class WireError(Exception):
@@ -42,31 +47,61 @@ _ERROR_CODES: tuple[tuple[str, type[Exception]], ...] = (
 _MAPPED_ERRORS = tuple(cls for _, cls in _ERROR_CODES)
 
 
-def write_frame(sock: socket.socket, obj: dict) -> None:
+def _frame(obj: dict) -> bytes:
     body = codec.compact_json(obj).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame too large: {len(body)} bytes")
-    sock.sendall(_LEN.pack(len(body)) + body)
+    return _LEN.pack(len(body)) + body
 
 
-def read_frame(sock: socket.socket) -> dict | None:
-    """Next frame as a dict, or None on clean EOF at a frame boundary."""
-    header = _read_exact(sock, _LEN.size)
-    if header is None:
-        return None
-    (length,) = _LEN.unpack(header)
+def _body_length(header: bytes | bytearray) -> int:
+    (length,) = _LEN.unpack_from(header)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame too large: {length} bytes")
-    body = _read_exact(sock, length)
-    if body is None:
-        raise WireError("connection closed mid-frame")
+    return length
+
+
+def _parse_body(body: bytes | bytearray) -> dict:
     try:
         obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WireError(f"bad frame body: {exc}") from None
     if not isinstance(obj, dict):
         raise WireError("frame body must be a JSON object")
     return obj
+
+
+def _take_frame(buf: bytearray) -> dict | None:
+    """Remove the first whole frame from ``buf`` and return its body; None
+    while that frame has not fully arrived."""
+    if len(buf) < _LEN.size:
+        return None
+    end = _LEN.size + _body_length(buf)
+    if len(buf) < end:
+        return None
+    obj = _parse_body(buf[_LEN.size:end])
+    del buf[:end]
+    return obj
+
+
+def write_frame(sock: socket.socket, obj: dict) -> None:
+    sock.sendall(_frame(obj))
+
+
+def read_frame(sock: socket.socket) -> dict | None:
+    """Next frame as a dict, or None on clean EOF at a frame boundary.
+
+    ``read_frame`` and ``write_frame`` are blocking helpers for tests and
+    ad-hoc clients; the sink's own ends use ``_take_frame`` and ``_frame``
+    on a buffer per connection.
+    """
+    header = _read_exact(sock, _LEN.size)
+    if header is None:
+        return None
+    body = _read_exact(sock, _body_length(header))
+    if body is None:
+        raise WireError("connection closed mid-frame")
+    return _parse_body(body)
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -121,10 +156,32 @@ def _err(code: str, message: str) -> dict:
     return {"ok": False, "error": code, "message": message}
 
 
+class _Conn:
+    """One accepted connection: bytes read but not yet answered, reply
+    bytes not yet sent, and whether it ends once those are sent."""
+
+    __slots__ = ("sock", "rbuf", "wbuf", "closing")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rbuf = bytearray()
+        self.wbuf = bytearray()
+        self.closing = False
+
+
+def _client_ready(mask: int) -> None:
+    """A waiting inline client's socket is ready; the client's own call
+    does the I/O once the loop round returns."""
+
+
 class SinkServer:
-    """Threaded TCP host for one CloudSink. Concurrent connections are
-    accepted, but a lock serializes every operation so all callers observe a
-    single total order of appends."""
+    """TCP host for one CloudSink, served by one non-blocking loop.
+
+    Each connection keeps a read and a write buffer. Its next frame is
+    answered only once the reply before it is sent, and one thread at a time
+    runs the loop, so every caller observes a single total order of appends
+    and a stalled or slow client holds only its own buffers.
+    """
 
     def __init__(
         self,
@@ -135,36 +192,22 @@ class SinkServer:
     ) -> None:
         self.sink = sink or CloudSink()
         self._clock = clock or SystemClock()
-        self._lock = threading.Lock()
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:  # one connection, many frames
-                while True:
-                    try:
-                        request = read_frame(self.request)
-                    except WireError as exc:
-                        try:
-                            write_frame(self.request, _err("bad_request", str(exc)))
-                        except OSError:
-                            pass
-                        return
-                    if request is None:
-                        return
-                    with outer._lock:
-                        response = _handle_request(outer.sink, outer._clock, request)
-                    write_frame(self.request, response)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((host, port), Handler)
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        self._address = self._listener.getsockname()
+        # stop() writes a byte here to wake a loop blocked in select.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, self._drain_wake)
+        self._conns: set[_Conn] = set()
+        self._stopping = threading.Event()
         self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address  # type: ignore[return-value]
+        return self._address
 
     @property
     def port(self) -> int:
@@ -176,15 +219,32 @@ class SinkServer:
         return self
 
     def stop(self) -> None:
-        # shutdown() waits for a serving loop to end, so without one it
-        # would wait forever.
+        """End the loop and close every socket it serves or listens on."""
+        self._stopping.set()
         if self._thread is not None:
-            self._server.shutdown()
+            self._wake_w.send(b"\0")
             self._thread.join(timeout=5)
-        self._server.server_close()
+            self._thread = None
+        for conn in list(self._conns):
+            self._close(conn)
+        self._selector.close()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
 
     def serve_forever(self) -> None:
-        self._server.serve_forever(poll_interval=_POLL_INTERVAL_S)
+        while not self._stopping.is_set():
+            self._poll(None)
+
+    def connect(self) -> "RemoteSink":
+        """A client that runs this server's loop on the caller's thread
+        while it waits for a reply, instead of blocking in ``recv``.
+
+        Only one thread may run the loop at a time, so the server must not
+        be started, and its ``connect`` clients share one thread.
+        """
+        if self._thread is not None:
+            raise RuntimeError("the loop runs on its own thread; use RemoteSink(*address)")
+        return RemoteSink(*self.address, server=self)
 
     def __enter__(self) -> "SinkServer":
         return self.start()
@@ -192,42 +252,190 @@ class SinkServer:
     def __exit__(self, *exc: object) -> None:
         self.stop()
 
+    # -- the loop --------------------------------------------------------------
+
+    def _poll(self, timeout: float | None) -> bool:
+        """One round of the loop; False if nothing was ready within ``timeout``."""
+        ready = self._selector.select(timeout)
+        for key, mask in ready:
+            key.data(mask)
+        return bool(ready)
+
+    def _accept(self, mask: int) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the peer gave up, or no descriptor is left
+            return
+        sock.setblocking(False)
+        conn = _Conn(sock)
+        self._conns.add(conn)
+        self._selector.register(sock, selectors.EVENT_READ, lambda mask: self._serve(conn))
+
+    def _drain_wake(self, mask: int) -> None:
+        try:
+            self._wake_r.recv(64)
+        except BlockingIOError:
+            pass
+
+    def _serve(self, conn: _Conn) -> None:
+        """Move bytes for a ready connection, then answer what has arrived."""
+        try:
+            if conn.wbuf:
+                self._flush(conn)
+            else:
+                data = conn.sock.recv(_RECV_BYTES)
+                if data:
+                    conn.rbuf += data
+                elif conn.rbuf:
+                    self._reject(conn, "connection closed mid-frame")
+                else:
+                    self._close(conn)
+            self._answer(conn)
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._close(conn)
+        if conn in self._conns:
+            # Read only while no reply waits to go out.
+            self._want(conn.sock, selectors.EVENT_WRITE if conn.wbuf else selectors.EVENT_READ)
+
+    def _answer(self, conn: _Conn) -> None:
+        while not conn.wbuf and not conn.closing:
+            try:
+                request = _take_frame(conn.rbuf)
+                if request is None:
+                    return
+                conn.wbuf += _frame(_handle_request(self.sink, self._clock, request))
+            except WireError as exc:
+                self._reject(conn, str(exc))
+                return
+            except Exception as exc:  # a fault in one request ends only its connection
+                self._reject(conn, f"request failed: {type(exc).__name__}: {exc}")
+                return
+            self._flush(conn)
+
+    def _reject(self, conn: _Conn, message: str) -> None:
+        """Reply ``bad_request`` to a framing error or a failed request, then
+        close once the reply is sent."""
+        conn.wbuf += _frame(_err("bad_request", message))
+        conn.closing = True
+        self._flush(conn)
+
+    def _flush(self, conn: _Conn) -> None:
+        try:
+            sent = conn.sock.send(conn.wbuf)
+        except BlockingIOError:
+            return
+        del conn.wbuf[:sent]
+        if conn.closing and not conn.wbuf:
+            self._close(conn)
+
+    def _close(self, conn: _Conn) -> None:
+        conn.closing = True
+        self._conns.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _want(self, sock: socket.socket, events: int) -> None:
+        key = self._selector.get_key(sock)
+        if key.events != events:
+            self._selector.modify(sock, events, key.data)
+
+    # -- inline clients (see connect) ----------------------------------------
+
+    def _attach(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ, _client_ready)
+
+    def _detach(self, sock: socket.socket) -> None:
+        keys = self._selector.get_map()  # None once stop() closed the selector
+        if keys is not None and sock in keys:
+            self._selector.unregister(sock)
+
+    def _wait(self, sock: socket.socket, events: int, timeout: float) -> None:
+        """One loop round on the caller's thread, for an inline client that
+        waits for ``events`` on ``sock``. The round ends once that socket or
+        any socket of the server is ready."""
+        if self._stopping.is_set():
+            raise ConnectionAbortedError("the sink server has stopped")
+        self._want(sock, events)
+        if not self._poll(timeout):
+            raise TimeoutError("timed out waiting for the sink")
+
 
 class RemoteSink:
     """Client-side proxy with the same call surface and exception behavior
-    as an in-process CloudSink."""
+    as an in-process CloudSink.
 
-    def __init__(self, host: str, port: int, connect_timeout_s: float = 5.0) -> None:
+    ``server`` is set by ``SinkServer.connect``: the client's socket is then
+    non-blocking, and a call that would block runs that server's loop.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        connect_timeout_s: float = 5.0,
+        *,
+        server: SinkServer | None = None,
+    ) -> None:
         self._addr = (host, port)
         self._timeout = connect_timeout_s
+        self._server = server
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
 
     def _conn(self) -> socket.socket:
         if self._sock is None:
             self._sock = socket.create_connection(self._addr, timeout=self._timeout)
+            if self._server is not None:
+                self._server._attach(self._sock)
         return self._sock
 
     def close(self) -> None:
         if self._sock is not None:
             try:
+                if self._server is not None:
+                    self._server._detach(self._sock)
                 self._sock.close()
             finally:
                 self._sock = None
 
     def _call(self, request: dict) -> dict:
+        frame = _frame(request)
         with self._lock:
+            # Any failure leaves the stream at an unknown offset: a reply
+            # read after it could belong to this request, so reconnect.
             try:
-                sock = self._conn()
-                write_frame(sock, request)
-                response = read_frame(sock)
+                return self._exchange(self._conn(), frame)
             except OSError as exc:
                 self.close()
                 raise WireError(f"sink connection failed: {exc}") from None
-        if response is None:
-            self.close()
-            raise WireError("sink closed the connection")
-        return response
+            except WireError:
+                self.close()
+                raise
+
+    def _exchange(self, sock: socket.socket, frame: bytes) -> dict:
+        """Send one request frame and return the reply frame's body."""
+        out = memoryview(frame)
+        while out:
+            try:
+                out = out[sock.send(out):]
+            except BlockingIOError:
+                self._server._wait(sock, selectors.EVENT_WRITE, self._timeout)
+        buf = bytearray()
+        while True:
+            reply = _take_frame(buf)
+            if reply is not None:
+                return reply
+            try:
+                data = sock.recv(_RECV_BYTES)
+            except BlockingIOError:
+                self._server._wait(sock, selectors.EVENT_READ, self._timeout)
+                continue
+            if not data:
+                raise WireError("connection closed mid-frame" if buf else "sink closed the connection")
+            buf += data
 
     def append(self, token: str, record_bytes: bytes, received_at=None) -> int:
         # Bytes that are not UTF-8 cannot travel in a JSON frame; they get

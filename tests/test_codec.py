@@ -105,6 +105,11 @@ def test_not_utf8_rejected():
         decode(b"\xff\xfe{}")
 
 
+def test_nesting_too_deep_for_the_parser_rejected():
+    with pytest.raises(ParseError, match="not JSON"):
+        decode(b'{"data":' + b"[" * 200_000)
+
+
 def test_unknown_top_level_key_rejected(listing_record):
     obj = json.loads(encode(listing_record))
     obj["extra"] = 1
@@ -265,3 +270,76 @@ def test_bulk_round_trip_corpus():
             seq=i,
         )
         assert decode(encode(record)) == record
+
+
+# -- the prebuilt JSON encoder ----------------------------------------------
+
+# What compact_json must match: a fresh encoder with its options, per call.
+_reference_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+_tricky_text = st.one_of(
+    # Every code point, lone surrogates included.
+    st.text(st.characters(exclude_categories=()), max_size=12),
+    st.sampled_from([" ", " ", "\ud800", "a\udfffb", "\x00\x1f\x7f", '"\\/', "é€𝄞"]),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**100), 10**40]),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-7, 1e16, 5e-324, 1.7976931348623157e308]),
+    _tricky_text,
+)
+_keys = st.one_of(_tricky_text, st.integers(), st.floats(), st.booleans(), st.none())
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=12,
+)
+_envelopes = st.fixed_dictionaries(
+    {
+        "device_id": _tricky_text,
+        "timestamp": _tricky_text,
+        "event_type": _tricky_text,
+        "seq": st.integers(),
+        "data": st.dictionaries(_tricky_text, _scalars, max_size=6),
+    }
+)
+_trace_events = st.fixed_dictionaries(
+    {
+        "t": st.floats(),
+        "seq": st.integers(min_value=0),
+        "kind": _tricky_text,
+        "data": st.dictionaries(_tricky_text, _values, max_size=6),
+    }
+)
+
+
+@given(st.one_of(_envelopes, _trace_events, _values))
+def test_compact_json_matches_a_fresh_encoder(obj):
+    assert codec.compact_json(obj) == _reference_json(obj)
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", 1j, Timestamp(0)])
+def test_compact_json_type_error_matches_and_leaves_no_state(bad):
+    inner = {"v": bad}
+    event = {"t": 1.0, "kind": "status", "data": {"nested": [1, inner]}}
+    with pytest.raises(TypeError) as ours:
+        codec.compact_json(event)
+    with pytest.raises(TypeError) as reference:
+        _reference_json(event)
+    assert str(ours.value) == str(reference.value)
+    # A failed encode leaves no state behind: once fixed, the same objects
+    # encode, with no "Circular reference detected" from a stale marker.
+    inner["v"] = 2
+    assert codec.compact_json(event) == _reference_json(event)
+
+
+def test_compact_encoder_without_the_c_accelerator(monkeypatch):
+    monkeypatch.setattr(codec, "c_make_encoder", None)
+    encode_json = codec._compact_encoder()
+    obj = {"t": -0.0, "data": {"s": " \ud800", "n": 2**70, "f": 1e-7, "b": None}}
+    assert encode_json(obj) == _reference_json(obj)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        encode_json({"x": object()})

@@ -3,11 +3,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from edgegate import cli
 from edgegate.auth import AccessEngine, DecisionSource, Outcome, check_temporal
 from edgegate.codec import CloudRecord, encode
 from edgegate.core import DeviceId, Timestamp
@@ -405,6 +407,31 @@ class TestScenarioRuns:
         assert len(keys) == len(set(keys))
         seqs = [r.record.seq for r in sim.sink.table.rows]
         assert seqs == sorted(seqs)
+
+
+class TestSocketBinding:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
+    def test_bundled_scenario_outputs_match_the_inprocess_run(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(cli.TOKEN_ENV, raising=False)
+        text = (SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8")
+        socket_yaml = tmp_path / "socket.yaml"
+        socket_yaml.write_text(text + "\nsink:\n  mode: socket\n", encoding="utf-8")
+        for source, out in ((SCENARIOS / f"{name}.yaml", "inprocess"), (socket_yaml, "socket")):
+            assert cli.main(["run", str(source), "--out", str(tmp_path / out)]) == 0
+        for output in ("trace.jsonl", "report.json", "sink.json"):
+            inprocess = (tmp_path / "inprocess" / output).read_bytes()
+            assert (tmp_path / "socket" / output).read_bytes() == inprocess, output
+
+    def test_socket_run_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"a socket-mode run started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        sim = Simulation(scenario_base(duration_s=300.0, sink=SinkConfig(mode="socket")))
+        _, report = sim.run()
+        assert report.counts["delivered"] == report.counts["enqueued"] > 0
 
 
 class TestDropSchedule:

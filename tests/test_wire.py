@@ -11,6 +11,7 @@ from edgegate.codec import CloudRecord, ParseError, UnknownEventTypeError
 from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.sink import CloudSink, UnauthorizedError, UnavailableError
 from edgegate.wire import RemoteSink, SinkServer, WireError, read_frame, write_frame
+from edgegate.wire import MAX_FRAME_BYTES
 
 from conftest import always_open_policy
 
@@ -208,3 +209,198 @@ class TestUnencodableRecord:
         assert errors[0][0] is ParseError
         assert errors[1] == errors[0]
         assert len(server.sink.table) == 0
+
+
+class TestServerFramingErrors:
+    """A framing error gets one bad_request reply, then the server closes
+    that connection; other connections are unaffected."""
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ((MAX_FRAME_BYTES + 1).to_bytes(4, "big"), "frame too large"),
+            (b"\x00\x00\x00\x05{nope", "bad frame body"),
+            (b"\x00\x00\x00\x02[]", "must be a JSON object"),
+            (b"\x00\x00\x00\x09{\"op\"", "closed mid-frame"),
+            (b"\x00\x00", "closed mid-frame"),
+        ],
+    )
+    def test_bad_request_then_close(self, server, remote, raw, message):
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(raw)
+            if "mid-frame" in message:
+                sock.shutdown(socket.SHUT_WR)
+            reply = read_frame(sock)
+            assert reply["ok"] is False
+            assert reply["error"] == "bad_request"
+            assert message in reply["message"]
+            assert read_frame(sock) is None
+        assert remote.append(TOKEN, codec.encode(record(0))) == 0
+
+
+class TestStalledClient:
+    def test_half_a_header_holds_nothing(self):
+        server = SinkServer(CloudSink(TOKEN)).start()
+        stalled = socket.create_connection(server.address, timeout=5)
+        client = RemoteSink(*server.address)
+        try:
+            stalled.sendall(b"\x00\x00")
+            started = time.perf_counter()
+            assert client.append(TOKEN, codec.encode(record(0))) == 0
+            assert time.perf_counter() - started < 1.0
+        finally:
+            client.close()
+            started = time.perf_counter()
+            server.stop()
+            stopped_in = time.perf_counter() - started
+        try:
+            assert stopped_in < 0.2
+            assert stalled.recv(1) == b""  # stop() closed its connection
+        finally:
+            stalled.close()
+
+
+class TestClientClosesOnWireError:
+    def test_next_call_reconnects_after_a_framing_error(self):
+        """After a "frame too large" header the rest of that reply is still
+        unread; the client must drop the connection, not read it as the
+        next call's reply."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted: list[socket.socket] = []
+
+        def one_shot_server():
+            first, _ = listener.accept()
+            accepted.append(first)
+            read_frame(first)
+            stale = codec.compact_json({"ok": True, "row_index": 99}).encode()
+            first.sendall(
+                (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+                + len(stale).to_bytes(4, "big")
+                + stale
+            )
+            second, _ = listener.accept()
+            accepted.append(second)
+            read_frame(second)
+            write_frame(second, {"ok": True, "row_index": 7})
+
+        thread = threading.Thread(target=one_shot_server, daemon=True)
+        thread.start()
+        client = RemoteSink(*listener.getsockname(), connect_timeout_s=2.0)
+        try:
+            with pytest.raises(WireError, match="frame too large"):
+                client.append(TOKEN, codec.encode(record(0)))
+            assert client.append(TOKEN, codec.encode(record(1))) == 7
+        finally:
+            client.close()
+            thread.join(timeout=5)
+            for sock in accepted:
+                sock.close()
+            listener.close()
+        assert not thread.is_alive()
+        assert len(accepted) == 2
+
+
+@pytest.fixture
+def unstarted_server():
+    sink = CloudSink(TOKEN)
+    sink.seed_policies([always_open_policy("A1B2C3D4")])
+    server = SinkServer(sink)
+    yield server
+    server.stop()
+
+
+@pytest.fixture
+def inline(unstarted_server):
+    client = unstarted_server.connect()
+    yield client
+    client.close()
+
+
+class TestInlineClient:
+    """A client from connect() runs the server's loop on its own thread."""
+
+    def test_same_results_as_inprocess_twin(self, unstarted_server, inline, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", _no_threads)
+        twin = CloudSink(TOKEN)
+        twin.seed_policies([always_open_policy("A1B2C3D4")])
+        payloads = [codec.encode(record(i)) for i in (0, 1, 1, 2)]
+        assert [inline.append(TOKEN, p) for p in payloads] == [
+            twin.append(TOKEN, p, T0) for p in payloads
+        ]
+        assert inline.query_policy(TOKEN, Uid("A1B2C3D4")) == twin.query_policy(
+            TOKEN, Uid("A1B2C3D4")
+        )
+        assert inline.query_policy(TOKEN, Uid("FFFFFFFF")) is None
+        assert inline.export_csv() == twin.export_csv()
+        with pytest.raises(UnauthorizedError):
+            inline.append("wrong", payloads[0])
+        unstarted_server.sink.available = False
+        with pytest.raises(UnavailableError):
+            inline.query_policy(TOKEN, Uid("A1B2C3D4"))
+
+    def test_frames_larger_than_socket_buffers(self, unstarted_server, inline):
+        """One thread writes and reads both ends, so neither end may block
+        on a full socket buffer."""
+        big = CloudRecord(DeviceId("AC_001"), T0, "status", {"blob": "x" * (4 << 20)}, 0)
+        started = time.perf_counter()
+        assert inline.append(TOKEN, codec.encode(big)) == 0
+        csv = inline.export_csv()
+        assert time.perf_counter() - started < 10.0
+        assert len(csv) >= 2 << 20
+        assert csv == unstarted_server.sink.export_csv()
+
+    def test_connect_refuses_a_started_server(self):
+        with SinkServer(CloudSink(TOKEN)) as server:
+            with pytest.raises(RuntimeError):
+                server.connect()
+
+    def test_close_after_stop(self, unstarted_server):
+        client = unstarted_server.connect()
+        client.append(TOKEN, codec.encode(record(0)))
+        unstarted_server.stop()
+        with pytest.raises(WireError):
+            client.append(TOKEN, codec.encode(record(1)))
+        client.close()
+
+
+def _no_threads(self):
+    raise AssertionError("no thread may start")
+
+
+class TestFaultsStayInOneConnection:
+    """A request the server cannot answer ends only the connection that sent
+    it; the loop keeps serving every other client."""
+
+    DEEP = b'{"a":' + b"[" * 2000
+
+    def test_nesting_too_deep_for_the_parser(self, server, remote):
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(len(self.DEEP).to_bytes(4, "big") + self.DEEP)
+            reply = read_frame(sock)
+            assert reply["error"] == "bad_request"
+            assert "bad frame body" in reply["message"]
+            assert read_frame(sock) is None
+        assert remote.append(TOKEN, codec.encode(record(0))) == 0
+
+    def test_deeply_nested_record_gets_the_inprocess_parse_error(self, server, remote):
+        payload = b'{"data":' + b"[" * 200_000
+        with pytest.raises(ParseError) as local:
+            CloudSink(TOKEN).append(TOKEN, payload, T0)
+        with pytest.raises(ParseError) as over_wire:
+            remote.append(TOKEN, payload)
+        assert str(over_wire.value) == str(local.value)
+        assert remote.append(TOKEN, codec.encode(record(0))) == 0
+
+    def test_unexpected_error_in_a_request(self, server, remote, monkeypatch):
+        def boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.sink, "export_csv", boom)
+        with socket.create_connection(server.address, timeout=5) as sock:
+            write_frame(sock, {"op": "EXPORT"})
+            reply = read_frame(sock)
+            assert reply["error"] == "bad_request"
+            assert reply["message"] == "request failed: RuntimeError: boom"
+            assert read_frame(sock) is None
+        assert remote.append(TOKEN, codec.encode(record(0))) == 0
+        assert server._thread.is_alive()
