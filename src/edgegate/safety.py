@@ -76,6 +76,10 @@ class FlameParams:
             if v < 0:
                 raise SafetyError(f"{name} must be >= 0, got {v}")
 
+    def cutoff(self, slope: float, ambient: float) -> float:
+        """``alpha*t_base + beta*slope + gamma*ambient``."""
+        return self.alpha * self.t_base + self.beta * slope + self.gamma * ambient
+
 
 def flame_threshold(prev: FlameSample, curr: FlameSample, params: FlameParams) -> float:
     """Adaptive cutoff: alpha*t_base + beta*(dI/dt) + gamma*ambient.
@@ -86,8 +90,7 @@ def flame_threshold(prev: FlameSample, curr: FlameSample, params: FlameParams) -
     dt = curr.at.diff_seconds(prev.at)
     if dt <= 0:
         raise NonPositiveIntervalError(f"non-positive sample interval: {dt}s")
-    slope = (curr.intensity - prev.intensity) / dt
-    return params.alpha * params.t_base + params.beta * slope + params.gamma * curr.ambient
+    return params.cutoff((curr.intensity - prev.intensity) / dt, curr.ambient)
 
 
 def detect_flame(curr: FlameSample, threshold: float) -> bool:
@@ -233,26 +236,37 @@ def steady_state_variance(q: float, r: float) -> float:
 
 
 class KalmanFilter:
-    """Stateful convenience wrapper around :func:`kalman_update`."""
+    """Stateful form of :func:`kalman_update`, on plain floats: the same
+    arithmetic and checks without a :class:`KalmanState` per update."""
 
     def __init__(self, q: float = 0.01, r: float = 1.0) -> None:
-        self._state: KalmanState | None = None
         self._q = q
         self._r = r
+        self._estimate = 0.0
+        self._variance: float | None = None  # None until the first measurement
 
     @property
     def state(self) -> KalmanState | None:
-        return self._state
+        if self._variance is None:
+            return None
+        return KalmanState(estimate=self._estimate, variance=self._variance, q=self._q, r=self._r)
 
     def update(self, z: float) -> float:
-        if self._state is None:
-            # Seed the estimate from the first measurement.
-            self._state = KalmanState(
-                estimate=z, variance=_INITIAL_VARIANCE, q=self._q, r=self._r
-            )
+        variance = self._variance
+        if variance is None:
+            # Seed the estimate from the first measurement; KalmanState
+            # checks q and r.
+            KalmanState(estimate=z, variance=_INITIAL_VARIANCE, q=self._q, r=self._r)
+            self._estimate, self._variance = z, _INITIAL_VARIANCE
             return z
-        self._state, filtered = kalman_update(self._state, z)
-        return filtered
+        variance_pred = variance + self._q
+        gain = variance_pred / (variance_pred + self._r)
+        estimate = self._estimate + gain * (z - self._estimate)
+        variance = (1.0 - gain) * variance_pred
+        if variance <= 0:
+            raise SafetyError(f"variance must be > 0, got {variance}")
+        self._estimate, self._variance = estimate, variance
+        return estimate
 
 
 class SafetyMonitor:
@@ -263,6 +277,12 @@ class SafetyMonitor:
     event, not one per sample). A recent personnel scan attaches the card
     identity to anomaly records, giving emergency responders context about
     who is inside the zone. Records and events are the monitor's only log.
+
+    Each sensor channel is a pure step (``flame_step``, ``flow_step``) that
+    advances only that channel's state and reports a hit, and a report
+    (``report_flame``, ``report_flow``) that emits the hit's record and event.
+    The step needs no timestamp object and no clock, so a simulation can run
+    a channel ahead of its clock and schedule only the hits.
     """
 
     def __init__(
@@ -279,10 +299,15 @@ class SafetyMonitor:
         self.device_id = device_id
         self.location = location
         self.params = params or FlameParams()
+        # Flame channel: the filter, the previous filtered intensity (None
+        # before the first reading) with its stamp in whole seconds and
+        # millis, and the rising-edge state.
         self._filter = KalmanFilter(q=kalman_q, r=kalman_r)
-        self._window = RollingWindow()
-        self._prev: FlameSample | None = None
+        self._prev_intensity: float | None = None
+        self._prev_seconds = 0
+        self._prev_millis = 0
         self._burning = False
+        self._window = RollingWindow()
         self._personnel_context_s = personnel_context_s
         self._last_scan: tuple[Uid, Timestamp] | None = None
         self._record_out = record_out
@@ -307,37 +332,73 @@ class SafetyMonitor:
             return uid
         return None
 
+    def flame_step(
+        self, intensity: float, ambient: float, seconds: int, millis: int
+    ) -> tuple[float, float] | None:
+        """Advance the flame channel by one raw reading stamped ``seconds``
+        and ``millis`` (the fields of its :class:`Timestamp`).
+
+        Returns ``(filtered intensity, threshold)`` on a rising edge, else
+        None. The arithmetic is that of :func:`flame_threshold` and
+        :func:`detect_flame`, on plain floats.
+        """
+        filtered = self._filter.update(intensity)
+        if ambient < 0:
+            raise SafetyError(f"ambient must be >= 0, got {ambient}")
+        value = 0.0 if filtered < 0.0 else filtered  # max(filtered, 0.0)
+        prev = self._prev_intensity
+        if prev is None:
+            hit = None
+        else:
+            # Timestamp.diff_seconds, on the fields.
+            dt = (seconds - self._prev_seconds) + (millis - self._prev_millis) / 1000.0
+            if dt <= 0:
+                raise NonPositiveIntervalError(f"non-positive sample interval: {dt}s")
+            threshold = self.params.cutoff((value - prev) / dt, ambient)
+            if not math.isfinite(threshold):
+                raise SafetyError(f"threshold must be finite, got {threshold}")
+            burning = value >= threshold
+            hit = (value, threshold) if burning and not self._burning else None
+            self._burning = burning
+        self._prev_intensity = value
+        self._prev_seconds = seconds
+        self._prev_millis = millis
+        return hit
+
+    def report_flame(self, intensity: float, threshold: float, at: Timestamp) -> None:
+        """Emit the record and event of a flame hit from :meth:`flame_step`."""
+        self._emit(
+            "flame_detected", {"intensity": intensity, "uid": self._context_uid(at)}, at
+        )
+        self._event_out(
+            "flame_detected", {"intensity": round(intensity, 3), "threshold": round(threshold, 3)}
+        )
+
     def on_flame_sample(self, intensity: float, ambient: float, at: Timestamp) -> bool:
         """Feed one raw flame reading; returns the current burning state."""
-        filtered = self._filter.update(intensity)
-        sample = FlameSample(intensity=max(filtered, 0.0), ambient=ambient, at=at)
-        if self._prev is None:
-            self._prev = sample
-            return False
-        threshold = flame_threshold(self._prev, sample, self.params)
-        burning = detect_flame(sample, threshold)
-        self._prev = sample
-        if burning and not self._burning:
-            self._emit(
-                "flame_detected",
-                {"intensity": sample.intensity, "uid": self._context_uid(at)},
-                at,
-            )
-            self._event_out(
-                "flame_detected",
-                {"intensity": round(sample.intensity, 3), "threshold": round(threshold, 3)},
-            )
-        self._burning = burning
-        return burning
+        hit = self.flame_step(intensity, ambient, at.seconds_utc, at.millis)
+        if hit is not None:
+            self.report_flame(*hit, at)
+        return self._burning
+
+    def flow_step(self, flow: float) -> bool:
+        """Advance the flow channel by one reading: judge it against the
+        trailing window, then push it. True when it is anomalous."""
+        anomalous = flow_anomaly(self._window, flow)
+        self._window.push(flow)
+        return anomalous
+
+    def report_flow(self, flow: float, at: Timestamp) -> None:
+        """Emit the record and event of an anomalous flow reading."""
+        self._emit("flow_anomaly", {"flow": flow, "uid": self._context_uid(at)}, at)
+        self._event_out("flow_anomaly", {"flow": round(flow, 4)})
 
     def on_flow_sample(self, flow: float, at: Timestamp) -> bool:
         """Feed one flow reading; anomaly is judged against the trailing
         window before the sample joins it."""
-        anomalous = flow_anomaly(self._window, flow)
+        anomalous = self.flow_step(flow)
         if anomalous:
-            self._emit("flow_anomaly", {"flow": flow, "uid": self._context_uid(at)}, at)
-            self._event_out("flow_anomaly", {"flow": round(flow, 4)})
-        self._window.push(flow)
+            self.report_flow(flow, at)
         return anomalous
 
     def on_personnel_scan(self, uid: Uid, at: Timestamp) -> None:

@@ -3,11 +3,13 @@
 One binary heap of (due time, insertion sequence) callbacks drives every
 component; nothing reads wall time, so a day-long scenario replays in
 wall-clock seconds and two runs of the same scenario produce byte-identical
-traces. Workloads (card arrivals, sensor samples, personnel scans, status
+traces. Workloads (card arrivals, sensor detections, personnel scans, status
 heartbeats) enter the heap as lazy streams that keep only their next event
 queued, so the heap grows with the number of devices, not with simulated
-duration. Random streams are split per component from the master seed, which
-keeps one component's draws stable when another component is added.
+duration. A sensor channel steps through its samples outside the heap and
+queues only the samples that cause a detection. Random streams are split per
+component from the master seed, which keeps one component's draws stable
+when another component is added.
 
 The network model layers truncated-normal latency, Bernoulli request/ack
 loss and scheduled partitions over an otherwise reliable in-process (or
@@ -357,7 +359,8 @@ class SimTransport:
 # seed before the clock starts, so the ground truth exists independently of
 # anything the engines later decide. Each arrival list, sensor channel, scan
 # list and heartbeat is then handed to the clock as one lazy stream, so the
-# event heap holds one entry per stream, not one per sample.
+# event heap holds one entry per stream, not one per sample; a sensor
+# channel's stream yields only its detections.
 
 
 @dataclass(frozen=True)
@@ -463,16 +466,21 @@ def _flame_value(cfg: FlameWorkload, t: float, rng: random.Random) -> tuple[floa
     return intensity, ambient
 
 
-def _periodic(
-    period: float, duration: float, fire: Callable[[int, float], None], first: int = 0
-) -> Iterator[tuple[float, Callable[[], None]]]:
-    """Events at every ``t = k * period < duration`` from ``k = first``; each
-    calls ``fire(k, t)``. The last step is kept when ``duration`` is not a
-    multiple of ``period``."""
+def _sample_times(period: float, duration: float, first: int = 0) -> Iterator[tuple[int, float]]:
+    """``(k, t)`` for every ``t = k * period < duration`` from ``k = first``.
+    The last step is kept when ``duration`` is not a multiple of ``period``."""
     k = first
     while (t := k * period) < duration:
-        yield t, functools.partial(fire, k, t)
+        yield k, t
         k += 1
+
+
+def _stamp(epoch: float, t: float) -> tuple[int, int]:
+    """Whole seconds and millis of the stamp ``SimClock.now_ts`` gives at
+    ``t``, for a clock whose epoch is ``epoch``: the clock lands on
+    ``round(t * 1e6)`` microseconds, and ``Timestamp.from_epoch`` rounds to
+    the millisecond."""
+    return divmod(round((epoch + round(t * 1e6) / 1e6) * 1000), 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -606,35 +614,51 @@ class Simulation:
         dev.engine.handle_request(arrival.raw_uid, request_id=arrival.request_id)
 
     def _schedule_safety(self, dev: _Device) -> None:
-        """One stream each for flame samples, flow samples, personnel scans
-        and status heartbeats; their registration order is their tie order."""
+        """One stream each for flame hits, flow hits, personnel scans and
+        status heartbeats; their registration order is their tie order.
+
+        A sensor stream steps its channel through every sample as it looks
+        for the next hit, ahead of the clock, and only a hit enters the heap.
+        The step touches nothing but its own channel, while the report (the
+        record's ``seq``, the personnel context) runs when the hit fires, so
+        every event comes out as if each sample had been scheduled.
+        """
         device = dev.device
         duration = self.scenario.duration_s
         monitor = dev.monitor
         now_ts = self.clock.now_ts
+        epoch = self.scenario.start_time.to_epoch()  # the clock's epoch
         flame = self.scenario.workload.flame
         if flame.sample_period_s > 0:
             flame_rng = split_rng(self.scenario.seed, f"flame/{device}")
 
-            def read_flame(k: int, t: float) -> None:
-                intensity, ambient = _flame_value(flame, t, flame_rng)
-                monitor.on_flame_sample(intensity, ambient, now_ts())
+            def flame_hits() -> Iterator[tuple[float, Callable[[], None]]]:
+                step, report = monitor.flame_step, monitor.report_flame
+                for _, t in _sample_times(flame.sample_period_s, duration):
+                    intensity, ambient = _flame_value(flame, t, flame_rng)
+                    seconds, millis = _stamp(epoch, t)
+                    hit = step(intensity, ambient, seconds, millis)
+                    if hit is not None:
+                        yield t, functools.partial(report, *hit, Timestamp(seconds, millis))
 
-            self.clock.add_source(_periodic(flame.sample_period_s, duration, read_flame))
+            self.clock.add_source(flame_hits())
 
         flow = self.scenario.workload.flow
         if flow.sample_period_s > 0:
             flow_rng = split_rng(self.scenario.seed, f"flow/{device}")
             anomaly_steps = {flow.step_of(a.at_s): a.magnitude_lpm for a in flow.anomalies}
 
-            def read_flow(k: int, t: float) -> None:
-                value = flow.baseline_lpm
-                if flow.noise_stddev > 0:
-                    value += flow_rng.gauss(0.0, flow.noise_stddev)
-                value = max(0.0, value + anomaly_steps.get(k, 0.0))
-                monitor.on_flow_sample(value, now_ts())
+            def flow_hits() -> Iterator[tuple[float, Callable[[], None]]]:
+                step, report = monitor.flow_step, monitor.report_flow
+                for k, t in _sample_times(flow.sample_period_s, duration):
+                    value = flow.baseline_lpm
+                    if flow.noise_stddev > 0:
+                        value += flow_rng.gauss(0.0, flow.noise_stddev)
+                    value = max(0.0, value + anomaly_steps.get(k, 0.0))
+                    if step(value):
+                        yield t, functools.partial(report, value, Timestamp(*_stamp(epoch, t)))
 
-            self.clock.add_source(_periodic(flow.sample_period_s, duration, read_flow))
+            self.clock.add_source(flow_hits())
 
         scans = sorted(
             (s for s in self.scenario.workload.personnel_scans if s.at_s < duration),
@@ -645,13 +669,12 @@ class Simulation:
             for s in scans
         )
         if dev.cfg.status_period_s > 0:
+
+            def heartbeat() -> None:
+                monitor.heartbeat(now_ts())
+
             self.clock.add_source(
-                _periodic(
-                    dev.cfg.status_period_s,
-                    duration,
-                    lambda k, t: monitor.heartbeat(now_ts()),
-                    first=1,
-                )
+                (t, heartbeat) for _, t in _sample_times(dev.cfg.status_period_s, duration, 1)
             )
 
     def _schedule_faults(self) -> None:

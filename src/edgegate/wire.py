@@ -46,6 +46,9 @@ _ERROR_CODES: tuple[tuple[str, type[Exception]], ...] = (
 )
 _MAPPED_ERRORS = tuple(cls for _, cls in _ERROR_CODES)
 
+# Any well-formed uid: a query for it checks only the token and availability.
+_PROBE_UID = Uid("00000000")
+
 
 def _frame(obj: dict) -> bytes:
     body = codec.compact_json(obj).encode("utf-8")
@@ -438,9 +441,15 @@ class RemoteSink:
             buf += data
 
     def append(self, token: str, record_bytes: bytes, received_at=None) -> int:
-        # Bytes that are not UTF-8 cannot travel in a JSON frame; they get
-        # the in-process sink's own parse error, before anything is sent.
-        record = codec.utf8_text(record_bytes)
+        try:
+            record = codec.utf8_text(record_bytes)
+        except codec.ParseError:
+            # Bytes that are not UTF-8 cannot travel in a JSON frame. The
+            # in-process sink checks the token and its availability before
+            # it parses, so ask the server the same through a read-only
+            # query, then fail with the sink's own parse error.
+            self.query_policy(token, _PROBE_UID)
+            raise
         response = self._call({"op": "APPEND", "token": token, "record": record})
         self._raise_on_error(response)
         return int(response["row_index"])

@@ -1,9 +1,38 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, settings
 
 from edgegate.core import ALL_DAYS, AccessPolicy, DeviceId, Timestamp, Uid
 from edgegate.codec import CloudRecord
+
+# HYPOTHESIS_PROFILE=ci widens the properties that run whole simulations per
+# example; tier-1 runs them on the default profile, small and derandomized.
+settings.register_profile(
+    "ci",
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def whole_run_settings(tier1_examples: int) -> settings:
+    """Settings of a property that runs a whole simulation per example:
+    ``tier1_examples`` derandomized examples on the default profile, the
+    loaded profile's own settings on any other."""
+    if PROFILE != "default":
+        return settings()
+    return settings(
+        max_examples=tier1_examples,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
 
 
 @pytest.fixture

@@ -288,6 +288,21 @@ class TestKalman:
         assert f.update(100.0) == 100.0
         assert 100.0 < f.update(110.0) < 110.0
 
+    @given(
+        q=st.floats(0.0, 100.0),
+        r=st.floats(1e-3, 100.0),
+        zs=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=30),
+    )
+    def test_filter_is_kalman_update_chained(self, q, r, zs):
+        f = KalmanFilter(q=q, r=r)
+        assert f.state is None
+        assert f.update(zs[0]) == zs[0]
+        state = KalmanState(estimate=zs[0], variance=1.0, q=q, r=r)
+        for z in zs[1:]:
+            state, filtered = kalman_update(state, z)
+            assert f.update(z) == filtered
+            assert f.state == state
+
 
 class TestEmitSafetyEvent:
     def test_flame_event_envelope(self):
@@ -384,3 +399,65 @@ class TestSafetyMonitor:
         monitor.on_personnel_scan(Uid("A1B2C3D4"), t)
         monitor.heartbeat(t.add_seconds(1))
         assert [r.seq for r in records] == [0, 1]
+
+    def test_sequence_numbers_are_drawn_when_a_hit_is_reported(self):
+        monitor, records = self.make(kalman_q=100.0, kalman_r=0.01)
+        assert monitor.flame_step(300.0, 0.0, T0.seconds_utc, 0) is None
+        hit = monitor.flame_step(1500.0, 0.0, T0.seconds_utc + 1, 0)
+        assert hit is not None and records == []
+        monitor.heartbeat(T0.add_seconds(1))
+        monitor.report_flame(*hit, T0.add_seconds(1))
+        assert [(r.event_type, r.seq) for r in records] == [("status", 0), ("flame_detected", 1)]
+
+    @pytest.mark.parametrize(
+        "feed, error",
+        [
+            (lambda m: m.on_flame_sample(300.0, -1.0, T0), SafetyError),
+            (lambda m: (m.on_flame_sample(300.0, 0.0, T0), m.on_flame_sample(300.0, 0.0, T0)),
+             NonPositiveIntervalError),
+            (lambda m: (m.on_flame_sample(300.0, 0.0, T0),
+                        m.on_flame_sample(math.inf, 0.0, T0.add_seconds(1))), SafetyError),
+            (lambda m: m.on_flow_sample(-1.0, T0), NegativeFlowError),
+        ],
+    )
+    def test_step_checks_keep_their_errors(self, feed, error):
+        monitor, records = self.make()
+        with pytest.raises(error):
+            feed(monitor)
+        assert records == []
+
+    @given(
+        readings=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 300.0, 1500.0, 4000.0]),
+                st.floats(0.0, 500.0),
+                st.integers(1, 2500),  # milliseconds since the previous reading
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        q=st.sampled_from([0.01, 100.0]),
+        start_millis=st.integers(0, 999),
+    )
+    def test_flame_step_is_the_pure_functions_composed(self, readings, q, start_millis):
+        """The step's hit and threshold equal, bit for bit, those of
+        kalman_update, flame_threshold and detect_flame on FlameSamples."""
+        params = FlameParams()
+        monitor, _ = self.make(params=params, kalman_q=q, kalman_r=0.01)
+        kalman = KalmanFilter(q=q, r=0.01)
+        prev = None
+        burning = False
+        at_ms = T0.seconds_utc * 1000 + start_millis
+        for intensity, ambient, gap_ms in readings:
+            at_ms += gap_ms
+            at = Timestamp(*divmod(at_ms, 1000))
+            curr = sample(max(kalman.update(intensity), 0.0), ambient, at)
+            expected = None
+            if prev is not None:
+                threshold = flame_threshold(prev, curr, params)
+                now = detect_flame(curr, threshold)
+                if now and not burning:
+                    expected = (curr.intensity, threshold)
+                burning = now
+            prev = curr
+            assert monitor.flame_step(intensity, ambient, at.seconds_utc, at.millis) == expected

@@ -538,18 +538,18 @@ class TestLazyWorkload:
         )
         scenario = dataclasses.replace(base, duration_s=100.0, workload=workload)
         calls = {"flame": 0, "flow": 0}
-        on_flame, on_flow = SafetyMonitor.on_flame_sample, SafetyMonitor.on_flow_sample
+        flame_step, flow_step = SafetyMonitor.flame_step, SafetyMonitor.flow_step
 
         def count_flame(monitor, *args):
             calls["flame"] += 1
-            return on_flame(monitor, *args)
+            return flame_step(monitor, *args)
 
         def count_flow(monitor, *args):
             calls["flow"] += 1
-            return on_flow(monitor, *args)
+            return flow_step(monitor, *args)
 
-        monkeypatch.setattr(SafetyMonitor, "on_flame_sample", count_flame)
-        monkeypatch.setattr(SafetyMonitor, "on_flow_sample", count_flow)
+        monkeypatch.setattr(SafetyMonitor, "flame_step", count_flame)
+        monkeypatch.setattr(SafetyMonitor, "flow_step", count_flow)
         trace, report = run(scenario)
         assert calls == {"flame": math.ceil(100 / 3), "flow": math.ceil(100 / 3)}
         assert trace.meta["truth"]["flow_anomaly_times"] == [99.0]

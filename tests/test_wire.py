@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import socket
 import threading
 import time
@@ -9,7 +10,9 @@ import pytest
 from edgegate import codec
 from edgegate.codec import CloudRecord, ParseError, UnknownEventTypeError
 from edgegate.core import DeviceId, Timestamp, Uid
+from edgegate.sim import NetworkModel, SimClock, SimTransport
 from edgegate.sink import CloudSink, UnauthorizedError, UnavailableError
+from edgegate.sync import SyncClient
 from edgegate.wire import RemoteSink, SinkServer, WireError, read_frame, write_frame
 from edgegate.wire import MAX_FRAME_BYTES
 
@@ -209,6 +212,77 @@ class TestUnencodableRecord:
         assert errors[0][0] is ParseError
         assert errors[1] == errors[0]
         assert len(server.sink.table) == 0
+
+
+    @pytest.mark.parametrize(
+        "token, available, error",
+        [
+            ("bad", True, UnauthorizedError),
+            ("bad", False, UnauthorizedError),
+            (TOKEN, False, UnavailableError),
+            (TOKEN, True, ParseError),
+        ],
+    )
+    def test_token_is_checked_before_the_bytes_on_both_bindings(
+        self, server, remote, token, available, error
+    ):
+        twin = CloudSink(TOKEN)
+        twin.available = server.sink.available = available
+        errors = []
+        for append in (lambda b: twin.append(token, b, T0), lambda b: remote.append(token, b)):
+            with pytest.raises(Exception) as caught:
+                append(b"\xff\xfe")
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0][0] is error
+        assert errors[1] == errors[0]
+        assert len(server.sink.table) == 0
+
+
+class TestCloseAfterAppend:
+    def test_retry_lands_on_the_stored_row(self, server):
+        """The connection closes after the sink has stored an append but
+        before the client reads its ack. The sync client's retry must get
+        the stored row back, and the sink must hold the record once."""
+        server.sink.append(TOKEN, codec.encode(record(0, "AC_002")), T0)
+        listener = socket.create_server(("127.0.0.1", 0))
+        acks: list[dict] = []
+
+        def closes_after_the_first_append():
+            first, _ = listener.accept()
+            with first, socket.create_connection(server.address, timeout=5) as upstream:
+                write_frame(upstream, read_frame(first))
+                acks.append(read_frame(upstream))  # stored, never forwarded
+            second, _ = listener.accept()
+            with second, socket.create_connection(server.address, timeout=5) as upstream:
+                while (request := read_frame(second)) is not None:
+                    write_frame(upstream, request)
+                    write_frame(second, read_frame(upstream))
+
+        proxy = threading.Thread(target=closes_after_the_first_append, daemon=True)
+        proxy.start()
+        clock = SimClock()
+        remote = RemoteSink(*listener.getsockname())
+        events: list[tuple[str, dict]] = []
+        client = SyncClient(
+            clock=clock,
+            transport=SimTransport(
+                clock, NetworkModel(latency_stddev_s=0.0), remote, TOKEN, random.Random(1)
+            ),
+            on_event=lambda kind, data: events.append((kind, data)),
+        )
+        try:
+            client.enqueue(record(0))
+            client.flush()
+        finally:
+            remote.close()
+            proxy.join(timeout=5)
+            listener.close()
+        assert not proxy.is_alive()
+        assert acks == [{"ok": True, "row_index": 1}]
+        outcomes = [(k, d.get("reason", d.get("row_index"))) for k, d in events
+                    if k in ("send_failed", "delivered")]
+        assert outcomes == [("send_failed", "unavailable"), ("delivered", 1)]
+        assert len(server.sink.table) == 2
 
 
 class TestServerFramingErrors:
