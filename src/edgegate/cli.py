@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from . import sim
+from .codec import parse_json
 from .scenario import ConfigError, Scenario, load_scenario
 from .sink import DEFAULT_TOKEN, state_to_csv, state_to_json
 from .trace import TraceError
@@ -160,7 +161,7 @@ def _cmd_serve_sink(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     try:
-        state = json.loads(Path(args.sink_state).read_text(encoding="utf-8"))
+        state = parse_json(Path(args.sink_state).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read sink state: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,16 @@ retransmissions safely deduplicable. Decoding additionally accepts
 pretty-printed input and, for compatibility with senders that omit it,
 tolerates a missing ``seq``: it decodes as 0, and :func:`parse_record`
 reports its absence so the sink can assign one from arrival order.
+
+Every JSON text the package writes goes through :func:`compact_json`, and
+every JSON text it reads (trace lines, wire frame bodies, records, reports,
+sink snapshots) through :func:`parse_json`. ``json.loads`` wraps the same C
+scanner that :func:`parse_json` calls directly in a Python decoder that
+skips leading whitespace, checks for a BOM and looks for extra data, and
+that wrapper costs more per trace line than the scan. Where the scan starts
+at the first character and ends at the last, or before only JSON
+whitespace, ``json.loads`` would return that same value; every other text
+goes to ``json.loads`` itself, so the value or the exception is always its.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from json.decoder import JSONDecoder
 from json.encoder import c_make_encoder, encode_basestring
 
 from .core import CoreError, DeviceId, Timestamp
@@ -111,6 +122,33 @@ def _compact_encoder() -> Callable[[object], str]:
 # Every trace line, record and wire frame is encoded by this one function.
 compact_json = _compact_encoder()
 
+# The scanner ``json.loads`` uses, built once with the same default hooks.
+# It is shared by every thread, as ``json.loads`` shares its own: between
+# calls it keeps nothing but a memo of object keys, which each call clears.
+_scan = JSONDecoder().scan_once
+
+
+def parse_json(text: str) -> object:
+    """``json.loads(text)``: the same value, or the same exception.
+
+    The scanner is tried first from index 0. Its value is returned when it
+    reads to the end of ``text``, or up to JSON whitespace alone (space, tab,
+    line feed, carriage return), since then ``json.loads`` returns it too.
+    Anything else, including leading whitespace, a BOM, extra data and any
+    exception from the scanner, is left to ``json.loads``, outside the
+    ``except`` so its exception carries no context from the first try. Only
+    nesting within two levels of the recursion limit can tell the two apart:
+    ``json.loads`` calls the scanner from two frames deeper.
+    """
+    try:
+        obj, end = _scan(text, 0)
+    except Exception:
+        pass
+    else:
+        if end == len(text) or not text[end:].strip(" \t\n\r"):
+            return obj
+    return json.loads(text)
+
 
 def envelope(record: CloudRecord) -> dict:
     """The record as a fresh JSON object, top-level keys in wire order."""
@@ -158,7 +196,7 @@ def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
     """
     text = utf8_text(payload)
     try:
-        obj = json.loads(text)
+        obj = parse_json(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"payload is not JSON: {exc}") from None
 

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .codec import parse_json
 from .trace import EventTrace, GroundTruth, TraceError, read_jsonl
 
 _SERIES_MAX_POINTS = 512
@@ -85,7 +86,7 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, payload: bytes) -> "MetricsReport":
-        return cls.from_dict(json.loads(payload.decode("utf-8")))
+        return cls.from_dict(parse_json(payload.decode("utf-8")))
 
 
 def _mean(values: list[float]) -> float | None:

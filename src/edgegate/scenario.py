@@ -74,6 +74,10 @@ class FlameEpisode:
     peak: float = _bounded(1500.0, lo=0.0)
 
 
+# Shortest flame sample period; shorter ones can give two samples one stamp.
+MIN_FLAME_PERIOD_S = 0.002
+
+
 @dataclass(frozen=True)
 class FlameWorkload:
     sample_period_s: float = _bounded(0.0, lo=0.0)  # 0 disables the channel
@@ -82,6 +86,18 @@ class FlameWorkload:
     ambient_base: float = _bounded(120.0, lo=0.0)
     ambient_noise_stddev: float = _bounded(4.0, lo=0.0)
     episodes: tuple[FlameEpisode, ...] = ()
+
+    def __post_init__(self) -> None:
+        """Stamps have millisecond resolution and the flame filter needs a
+        positive interval between two samples. A period of 2 ms or more keeps
+        every two consecutive stamps apart, at any epoch up to year 9999."""
+        if 0 < self.sample_period_s < MIN_FLAME_PERIOD_S:
+            raise ConfigError(
+                [
+                    f"sample_period_s: {self.sample_period_s} below minimum "
+                    f"{MIN_FLAME_PERIOD_S} (0 turns the channel off)"
+                ]
+            )
 
 
 @dataclass(frozen=True)
@@ -427,11 +443,16 @@ def parse_scenario(doc: dict | None) -> Scenario:
     raise ConfigError([f"top level{i}" if i.startswith(":") else i for i in issues])
 
 
+# libyaml's parser, about ten times faster on a many-device scenario; the
+# pure-Python one serves only PyYAML builds without libyaml.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario YAML file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError([f"not valid YAML: {exc}"]) from None
     return parse_scenario(doc)

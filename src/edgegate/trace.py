@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .codec import compact_json
+from .codec import compact_json, parse_json
 
 
 class TraceError(ValueError):
@@ -81,7 +81,7 @@ class EventTrace:
         """The kept events, each line decoded on first use."""
         lines = self._kept()
         decoded = self._decoded
-        decoded.extend(TraceEvent(**json.loads(line)) for line in lines[len(decoded):])
+        decoded.extend(TraceEvent(**parse_json(line)) for line in lines[len(decoded):])
         return decoded
 
     def by_kind(self, kind: str) -> list[TraceEvent]:
@@ -119,7 +119,7 @@ def read_jsonl(lines: Iterable[bytes]) -> tuple[dict, Iterator[tuple[float, int,
     if first is None:
         raise TraceError("empty trace")
     try:
-        head = json.loads(_decode(*first))
+        head = parse_json(_decode(*first))
     except json.JSONDecodeError as exc:
         raise TraceError(f"bad meta line: {exc}") from None
     if not isinstance(head, dict) or head.get("kind") != "meta":
@@ -136,19 +136,25 @@ def _decode(i: int, raw: bytes) -> str:
 
 
 def _read_events(numbered: Iterator[tuple[int, bytes]]) -> Iterator[tuple[float, int, str, dict]]:
+    """Each event's fields are read in the order ``t``, ``seq``, ``kind``,
+    ``data``, so the first bad one names the line's error. A ``data`` the
+    parser built as a dict is fresh and is handed on as it is."""
     for i, raw in numbered:
         line = _decode(i, raw)
         if not line or line.isspace():
             continue
         try:
-            obj = json.loads(line)
+            obj = parse_json(line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"line {i}: {exc}") from None
         try:
-            event = float(obj["t"]), int(obj["seq"]), str(obj["kind"]), dict(obj.get("data", {}))
+            t, seq, kind = float(obj["t"]), int(obj["seq"]), str(obj["kind"])
+            data = obj.get("data", {})
+            if type(data) is not dict:
+                data = dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"line {i}: bad event: {exc}") from None
-        yield event
+        yield t, seq, kind, data
 
 
 @dataclass

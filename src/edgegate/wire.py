@@ -66,7 +66,7 @@ def _body_length(header: bytes | bytearray) -> int:
 
 def _parse_body(body: bytes | bytearray) -> dict:
     try:
-        obj = json.loads(body.decode("utf-8"))
+        obj = codec.parse_json(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WireError(f"bad frame body: {exc}") from None
     if not isinstance(obj, dict):

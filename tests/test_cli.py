@@ -189,6 +189,16 @@ class TestScenarioErrors:
         assert main(args) == 1
         assert "devices[0].kalman: measurement noise r must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("period, code", [(0.0004, 1), (0.0015, 1), (0.002, 0)])
+    def test_flame_period_floor(self, tmp_path, capsys, period, code):
+        # Periods under 2 ms can give two samples one millisecond stamp.
+        text = (SCENARIOS / "safety_basic.yaml").read_text(encoding="utf-8")
+        text = text.replace("sample_period_s: 1.0", f"sample_period_s: {period}")
+        path = self.write(tmp_path, text.replace("duration_s: 1800", "duration_s: 1"))
+        assert main(["validate", path]) == code
+        err = capsys.readouterr().err
+        assert ("workload.flame.sample_period_s: " in err) == (code == 1)
+
     def test_serve_sink_with_missing_scenario_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "missing.yaml"
         assert main(["serve-sink", "--port", "0", "--scenario", str(missing)]) == 1

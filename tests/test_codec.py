@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import random
+import traceback
+from json.decoder import JSONDecoder
+from json.scanner import py_make_scanner
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgegate import codec
+from edgegate import codec, metrics, wire
 from edgegate.codec import (
     EVENT_TYPES,
     CloudRecord,
@@ -343,3 +347,106 @@ def test_compact_encoder_without_the_c_accelerator(monkeypatch):
     assert encode_json(obj) == _reference_json(obj)
     with pytest.raises(TypeError, match="not JSON serializable"):
         encode_json({"x": object()})
+
+
+# -- the prebuilt JSON decoder ----------------------------------------------
+
+
+def _loads_outcome(loads, text) -> tuple:
+    """What ``loads`` makes of ``text``: the value, by repr so that NaN and
+    -0.0 compare, or the exception by type and message, with the type of its
+    context and the file of the innermost frame it passed through."""
+    try:
+        return (repr(loads(text)),)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return type(exc), str(exc), type(exc.__context__), frame.filename
+
+
+def _duplicate_keys(pairs) -> str:
+    members = (f"{codec.compact_json(k)}:{codec.compact_json(v)}" for k, v in pairs)
+    return "{" + ",".join(members) + "}"
+
+
+_json_texts = st.one_of(
+    _values.map(codec.compact_json),
+    st.builds(
+        lambda v, indent, ascii: json.dumps(v, indent=indent, ensure_ascii=ascii),
+        _values,
+        st.sampled_from([None, 0, 2, "\t"]),
+        st.booleans(),
+    ),
+    st.lists(st.tuples(st.sampled_from(["a", "b", ""]), _values), max_size=4).map(_duplicate_keys),
+    st.sampled_from(
+        [
+            '"\\ud800"', '"a\\udfff\\ud800"', "NaN", "-Infinity", "-0.0", "1e400", "1" * 5000,
+            str(2**70), "[" * 50 + "]" * 50, "[" * 100_000, '{"a":' * 100_000,
+            "[" * 100_000 + "]" * 100_000,
+        ]
+    ),
+)
+# JSON whitespace, then Unicode whitespace that JSON does not allow.
+_json_padding = st.text(st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x85", "\xa0", "\u2028"]))
+
+
+@st.composite
+def _damaged_json(draw) -> str:
+    text = draw(_json_texts)
+    how = draw(st.sampled_from(["whole", "padded", "bom", "garbage", "truncated", "any"]))
+    if how == "padded":
+        return draw(_json_padding) + text + draw(_json_padding)
+    if how == "bom":
+        return "\ufeff" + text
+    if how == "garbage":
+        return text + draw(st.sampled_from(["x", "}", "]", "{}", " 1", ",", "\x00", "\n\n2"]))
+    if how == "truncated":
+        return text[: draw(st.integers(0, max(0, len(text) - 1)))]
+    if how == "any":
+        return draw(_tricky_text)
+    return text
+
+
+@given(_damaged_json())
+def test_parse_json_is_json_loads(text):
+    assert _loads_outcome(codec.parse_json, text) == _loads_outcome(json.loads, text)
+
+
+@given(_damaged_json())
+def test_every_reader_reads_as_with_json_loads(text):
+    payload = text.encode("utf-8", "surrogatepass")
+    readers = (codec.parse_record, wire._parse_body, metrics.MetricsReport.from_json)
+    ours = [_loads_outcome(read, payload)[:2] for read in readers]
+    with mock.patch.object(codec, "parse_json", json.loads), mock.patch.object(
+        metrics, "parse_json", json.loads
+    ):
+        assert ours == [_loads_outcome(read, payload)[:2] for read in readers]
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ('{"a":1,"a":2}', {"a": 2}),
+        ("[NaN,-0.0]", [float("nan"), -0.0]),
+        (str(2**70), 2**70),
+        ('"\\ud800"', "\ud800"),
+        ('{"t":1} \t\r\n', {"t": 1}),
+    ],
+)
+def test_parse_json_values(text, value):
+    assert repr(codec.parse_json(text)) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " 1", "\ufeff1", "1 x", "1\u2028", "[1,", "[" * 100_000],
+    ids=["empty", "padded", "bom", "extra_data", "unicode_space_after", "truncated", "too_deep"],
+)
+def test_parse_json_errors_are_json_loads_own(text):
+    assert _loads_outcome(codec.parse_json, text) == _loads_outcome(json.loads, text)
+
+
+def test_parse_json_with_the_pure_python_scanner(monkeypatch):
+    # What a build without the _json accelerator gets from the same code.
+    monkeypatch.setattr(codec, "_scan", py_make_scanner(JSONDecoder()))
+    for text in ('{"a":[1,2.5,"\\ud800"]}', "NaN", " 1", "[1]x", "[" * 100_000):
+        assert _loads_outcome(codec.parse_json, text)[:2] == _loads_outcome(json.loads, text)[:2]

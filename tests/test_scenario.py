@@ -3,15 +3,23 @@ dataclasses, and every problem is reported with its field path."""
 
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
+import pytest
+import yaml
+
+from edgegate import scenario as scenario_mod
 from edgegate.scenario import (
     ConfigError,
+    FlameWorkload,
     FlowAnomalySpec,
     FlowWorkload,
     Scenario,
+    load_scenario,
     parse_scenario,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def full_doc() -> dict:
@@ -211,3 +219,92 @@ def test_cross_field_invariants_name_their_paths():
     partitions = parse_scenario(doc).faults.partitions
     assert [p.start_s for p in partitions] == [10.0, 50.0]
 
+
+
+@pytest.mark.parametrize("period", [0.0004, 0.001, 0.0015, 0.0019999])
+def test_flame_periods_that_can_repeat_a_stamp_are_rejected(period):
+    doc = full_doc()
+    doc["workload"]["flame"]["sample_period_s"] = period
+    assert issues_of(doc) == [
+        f"workload.flame.sample_period_s: {period} below minimum 0.002 (0 turns the channel off)"
+    ]
+    with pytest.raises(ConfigError):
+        FlameWorkload(sample_period_s=period)
+
+
+@pytest.mark.parametrize("period", [0.0, 0.002, 0.0025, 1.0])
+def test_flame_periods_of_two_millis_and_up_are_accepted(period):
+    doc = full_doc()
+    doc["workload"]["flame"]["sample_period_s"] = period
+    assert parse_scenario(doc).workload.flame.sample_period_s == period
+
+
+# -- the YAML loader ---------------------------------------------------------
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+
+def many_devices_doc(n: int = 150) -> dict:
+    """A scenario of ``n`` gate controllers, each with its own settings, and
+    one safety monitor."""
+    doc = full_doc()
+    doc["start_time"] = "2024-01-15T08:00:00Z"
+    doc["devices"] = [
+        {
+            "device_id": f"AC_{i:03d}",
+            "role": "access",
+            "location": f"Gate é{i}",
+            "auth": {"t_entry_s": 4.0 + i / 1000},
+            "outbox": {"capacity": 100 + i, "overflow": "drop_oldest"},
+        }
+        for i in range(1, n + 1)
+    ] + [{"device_id": "SM_001", "role": "safety", "kalman": {"q": 1e-3, "r": 0.5}}]
+    doc["authz"] = [
+        {"uid": f"{i:08X}", "window_start": "08:00:00", "window_end": "18:30:00",
+         "allowed_days": ["Monday", "Friday"] if i % 2 else "all"}
+        for i in range(1, 40)
+    ]
+    return doc
+
+
+def yaml_files(tmp_path) -> list[Path]:
+    path = tmp_path / "many.yaml"
+    doc = many_devices_doc()
+    path.write_text(yaml.safe_dump(doc, sort_keys=False, allow_unicode=True), encoding="utf-8")
+    flow = tmp_path / "many_flow_style.yaml"
+    flow.write_text(yaml.safe_dump(doc, default_flow_style=True), encoding="utf-8")
+    return sorted(SCENARIOS.glob("*.yaml")) + [path, flow]
+
+
+@needs_libyaml
+def test_both_loaders_read_equal_documents_and_scenarios(tmp_path, monkeypatch):
+    for path in yaml_files(tmp_path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+        monkeypatch.setattr(scenario_mod, "_YAML_LOADER", yaml.SafeLoader)
+        pure = load_scenario(path)
+        monkeypatch.setattr(scenario_mod, "_YAML_LOADER", yaml.CSafeLoader)
+        assert load_scenario(path) == pure
+
+
+def test_scenarios_load_with_libyaml_where_it_is_built_in():
+    assert scenario_mod._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [yaml.SafeLoader, pytest.param(getattr(yaml, "CSafeLoader", None), marks=needs_libyaml)],
+)
+@pytest.mark.parametrize(
+    "text", ["seed: [1, 2\n", "seed: a: b\n", "devices:\n\t- x\n", "- a\nseed: 1\n", "seed: '1\n"]
+)
+def test_malformed_yaml_is_a_config_error_under_both_loaders(tmp_path, monkeypatch, loader, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(scenario_mod, "_YAML_LOADER", loader)
+    with pytest.raises(ConfigError) as info:
+        load_scenario(path)
+    [issue] = info.value.issues
+    assert issue.startswith("not valid YAML: ")
