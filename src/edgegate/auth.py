@@ -270,13 +270,13 @@ class RequestDisposition(Enum):
 
 
 @dataclass
-class _PendingQuery:
-    query_id: int
+class _Request:
+    """An accepted request, from acceptance until its decision."""
+
     uid: Uid
     started: float
     on_result: Callable[[AuthResult], None] | None
     request_id: str | None
-    deadline_handle: object = None
 
 
 class AccessEngine:
@@ -287,6 +287,9 @@ class AccessEngine:
     engine) emits no record, only its ``rejected_input`` or ``gate_busy``
     event. The events are the engine's only log. Driving happens through the
     injected scheduler, so the engine consumes only simulated time.
+
+    A cache miss races the cloud reply against the deadline. Each acts only
+    while its request is still ``self._pending``, so the second does nothing.
     """
 
     def __init__(
@@ -310,8 +313,7 @@ class AccessEngine:
         self._event_out = event_out
         self._seq = 0
         self._busy = False
-        self._query_counter = 0
-        self._pending: _PendingQuery | None = None
+        self._pending: _Request | None = None
 
     # -- request entry points ------------------------------------------------
 
@@ -339,30 +341,18 @@ class AccessEngine:
             return RequestDisposition.REJECTED_INPUT
 
         self._busy = True
-        started = self._clock.now()
+        request = _Request(uid, self._clock.now(), on_result, request_id)
         now_ts = self._clock.now_ts()
         entry = self.cache.lookup(uid, now_ts)
         if entry is not None:
-            outcome = check_temporal(entry.policy, now_ts)
-            self._finish(uid, started, outcome, DecisionSource.CACHE, on_result, request_id)
+            self._finish(request, check_temporal(entry.policy, now_ts), DecisionSource.CACHE)
             return RequestDisposition.ACCEPTED
 
-        self._query_counter += 1
-        pending = _PendingQuery(
-            query_id=self._query_counter,
-            uid=uid,
-            started=started,
-            on_result=on_result,
-            request_id=request_id,
+        self._pending = request
+        self._clock.schedule(
+            self.config.t_timeout_ms / 1000.0, lambda: self._on_cloud_deadline(request)
         )
-        self._pending = pending
-        pending.deadline_handle = self._clock.schedule(
-            self.config.t_timeout_ms / 1000.0,
-            lambda: self._on_cloud_deadline(pending.query_id),
-        )
-        self._cloud.query_policy(
-            uid, lambda reply: self._on_cloud_reply(pending.query_id, reply)
-        )
+        self._cloud.query_policy(uid, lambda reply: self._on_cloud_reply(request, reply))
         return RequestDisposition.ACCEPTED
 
     def process_request(self, raw_uid: str) -> AuthResult:
@@ -383,53 +373,31 @@ class AccessEngine:
 
     # -- decision plumbing ---------------------------------------------------
 
-    def _on_cloud_reply(self, query_id: int, reply: PolicyReply) -> None:
-        pending = self._pending
-        if pending is None or pending.query_id != query_id:
-            return  # reply landed after the deadline already decided
+    def _on_cloud_reply(self, request: _Request, reply: PolicyReply) -> None:
+        if self._pending is not request:
+            return  # the deadline already decided this request
         self._pending = None
-        self._cancel_deadline(pending)
         now_ts = self._clock.now_ts()
         if reply.kind is ReplyKind.POLICY and reply.policy is not None:
-            self.cache.update(pending.uid, reply.policy, now_ts, self.config.cache_ttl_s)
-            outcome = check_temporal(reply.policy, now_ts)
-            self._finish_pending(pending, outcome, DecisionSource.CLOUD)
+            self.cache.update(request.uid, reply.policy, now_ts, self.config.cache_ttl_s)
+            self._finish(request, check_temporal(reply.policy, now_ts), DecisionSource.CLOUD)
         elif reply.kind is ReplyKind.NOT_FOUND:
-            self._finish_pending(pending, Outcome.DENIED, DecisionSource.CLOUD)
+            self._finish(request, Outcome.DENIED, DecisionSource.CLOUD)
         else:  # backend reachable but unavailable: same recourse as a timeout
-            outcome = fallback_decision(pending.uid, self.cache, now_ts, self.config)
-            self._finish_pending(pending, outcome, DecisionSource.FALLBACK)
+            outcome = fallback_decision(request.uid, self.cache, now_ts, self.config)
+            self._finish(request, outcome, DecisionSource.FALLBACK)
 
-    def _on_cloud_deadline(self, query_id: int) -> None:
-        pending = self._pending
-        if pending is None or pending.query_id != query_id:
-            return
+    def _on_cloud_deadline(self, request: _Request) -> None:
+        if self._pending is not request:
+            return  # the cloud already decided this request
         self._pending = None
-        outcome = fallback_decision(pending.uid, self.cache, self._clock.now_ts(), self.config)
-        self._finish_pending(pending, outcome, DecisionSource.FALLBACK)
+        outcome = fallback_decision(request.uid, self.cache, self._clock.now_ts(), self.config)
+        self._finish(request, outcome, DecisionSource.FALLBACK)
 
-    def _cancel_deadline(self, pending: _PendingQuery) -> None:
-        if pending.deadline_handle is not None:
-            self._clock.cancel(pending.deadline_handle)
-
-    def _finish_pending(
-        self, pending: _PendingQuery, outcome: Outcome, source: DecisionSource
-    ) -> None:
-        self._finish(
-            pending.uid, pending.started, outcome, source, pending.on_result, pending.request_id
-        )
-
-    def _finish(
-        self,
-        uid: Uid,
-        started: float,
-        outcome: Outcome,
-        source: DecisionSource,
-        on_result: Callable[[AuthResult], None] | None,
-        request_id: str | None,
-    ) -> None:
+    def _finish(self, request: _Request, outcome: Outcome, source: DecisionSource) -> None:
+        uid = request.uid
         at = self._clock.now_ts()
-        latency_ms = (self._clock.now() - started) * 1000.0
+        latency_ms = (self._clock.now() - request.started) * 1000.0
         granted = outcome is Outcome.GRANTED
         self._record_out(self._record(uid, at, granted))
         if granted:
@@ -444,15 +412,15 @@ class AccessEngine:
         self._event_out(
             "auth_decision",
             {
-                "request_id": request_id,
+                "request_id": request.request_id,
                 "uid": uid.value,
                 "outcome": outcome.value,
                 "source": source.value,
                 "latency_ms": latency_ms,
             },
         )
-        if on_result is not None:
-            on_result(AuthResult(outcome, source, latency_ms, uid, at))
+        if request.on_result is not None:
+            request.on_result(AuthResult(outcome, source, latency_ms, uid, at))
 
     def _close_gate(self) -> None:
         self.gate.begin_close()

@@ -57,23 +57,14 @@ class OverlappingPartitionError(SimError):
     """Partition intervals must be disjoint."""
 
 
-class _Handle:
-    __slots__ = ("fn", "cancelled")
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
-        self.cancelled = False
-
-
 class _Source:
-    """Heap entry of a lazily scheduled stream. ``fn`` fires the stream's
-    current event and then asks the clock for the one after it."""
+    """A lazily scheduled stream. ``fire``, its heap callback, fires the
+    stream's current event and then asks the clock for the one after it."""
 
-    __slots__ = ("fn", "cancelled", "clock", "events", "seq", "event")
+    __slots__ = ("fire", "clock", "events", "seq", "event")
 
     def __init__(self, clock: "SimClock", events: Iterator, seq: int) -> None:
-        self.fn = self._fire
-        self.cancelled = False
+        self.fire = self._fire
         self.clock = clock
         self.events = events
         self.seq = seq
@@ -94,12 +85,16 @@ class SimClock:
     epoch, so fixed intervals (the 5s gate hold, backoff sleeps) are exact;
     ``now()`` reports seconds relative to the epoch, ``now_ts()`` the
     absolute timestamp.
+
+    A scheduled callback cannot be withdrawn; each fires when due. A timer
+    that may lose a race (a send timeout, a cloud deadline, a late reply)
+    does nothing if, when it fires, what it guards is no longer current.
     """
 
     def __init__(self, start: Timestamp | float = 0.0) -> None:
         self._epoch = start.to_epoch() if isinstance(start, Timestamp) else float(start)
         self._now_us = 0
-        self._heap: list[tuple[int, int, _Handle | _Source]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._counter = itertools.count()
 
     def now(self) -> float:
@@ -109,13 +104,13 @@ class SimClock:
     def now_ts(self) -> Timestamp:
         return Timestamp.from_epoch(self._epoch + self._now_us / 1e6)
 
-    def schedule(self, delay_s: float, fn: Callable[[], None]) -> _Handle:
+    def schedule(self, delay_s: float, fn: Callable[[], None]) -> None:
         if delay_s < 0:
             raise SimError(f"cannot schedule into the past: delay {delay_s}")
-        return self._push(self._now_us + round(delay_s * 1e6), fn)
+        heapq.heappush(self._heap, (self._now_us + round(delay_s * 1e6), next(self._counter), fn))
 
-    def schedule_at(self, t: float, fn: Callable[[], None]) -> _Handle:
-        return self._push(self._due_us(t), fn)
+    def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
+        heapq.heappush(self._heap, (self._due_us(t), next(self._counter), fn))
 
     def add_source(self, events: Iterable[tuple[float, Callable[[], None]]]) -> None:
         """Schedule a stream of ``(t, fn)`` events, in time order, lazily.
@@ -133,7 +128,7 @@ class SimClock:
         event = next(source.events, None)
         if event is not None:
             t, source.event = event
-            heapq.heappush(self._heap, (self._due_us(t), source.seq, source))
+            heapq.heappush(self._heap, (self._due_us(t), source.seq, source.fire))
 
     def _due_us(self, t: float) -> int:
         due_us = round(t * 1e6)
@@ -141,41 +136,23 @@ class SimClock:
             raise SimError(f"cannot schedule into the past: {t} < {self.now()}")
         return due_us
 
-    def _push(self, due_us: int, fn: Callable[[], None]) -> _Handle:
-        handle = _Handle(fn)
-        heapq.heappush(self._heap, (due_us, next(self._counter), handle))
-        return handle
-
-    def cancel(self, handle: _Handle) -> None:
-        # The entry stays in the heap until due; dropping the callback now
-        # frees what it holds and breaks the cycle formed by a callback that
-        # cancels its own handle (the send timeout).
-        handle.cancelled = True
-        handle.fn = None
-
     def pending(self) -> int:
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        return len(self._heap)
 
     def run_next(self) -> bool:
         """Fire the next scheduled event; False when nothing remains."""
-        while self._heap:
-            t_us, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self._now_us = t_us
-            handle.fn()
-            return True
-        return False
+        if not self._heap:
+            return False
+        self._now_us, _, fn = heapq.heappop(self._heap)
+        fn()
+        return True
 
     def run_until(self, t_end: float) -> None:
         """Fire every event due at or before ``t_end``, then land on it."""
         end_us = round(t_end * 1e6)
         while self._heap and self._heap[0][0] <= end_us:
-            t_us, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self._now_us = t_us
-            handle.fn()
+            self._now_us, _, fn = heapq.heappop(self._heap)
+            fn()
         self._now_us = max(self._now_us, end_us)
 
 
@@ -302,6 +279,9 @@ class SimCloudClient(CloudQueryPort):
         self._clock.schedule(rtt, deliver)
 
 
+_TIMED_OUT = SendTimeout()
+
+
 class SimTransport:
     """Uplink sends over the simulated network with a client-side timeout.
 
@@ -309,6 +289,9 @@ class SimTransport:
     ``timeout_s``. A delivered request whose acknowledgement is dropped also
     times out, although the sink has already stored the record; the ensuing
     retransmission is what the sink's idempotency dedup absorbs.
+
+    Each send gives one outcome: of its timeout and its delivery, whichever
+    comes second finds the send's ``done`` flag set and does nothing.
     """
 
     def __init__(self, clock, model, sink_port, token, rng, timeout_s: float = 5.0) -> None:
@@ -320,15 +303,15 @@ class SimTransport:
         self.timeout_s = timeout_s
 
     def send(self, payload: bytes, on_result: Callable[[SendOutcome], None]) -> None:
-        done = [False]
+        done = False
 
         def finish(outcome: SendOutcome) -> None:
-            if not done[0]:
-                done[0] = True
-                self._clock.cancel(timeout)
+            nonlocal done
+            if not done:
+                done = True
                 on_result(outcome)
 
-        timeout = self._clock.schedule(self.timeout_s, lambda: finish(SendTimeout()))
+        self._clock.schedule(self.timeout_s, lambda: finish(_TIMED_OUT))
         latency = self._model.transit(self._clock.now(), self._rng)
         if latency is None:
             return

@@ -174,8 +174,7 @@ class SchedulerPort(Protocol):
 
     def now(self) -> float: ...
     def now_ts(self) -> Timestamp: ...
-    def schedule(self, delay_s: float, fn: Callable[[], None]): ...
-    def cancel(self, handle) -> None: ...
+    def schedule(self, delay_s: float, fn: Callable[[], None]) -> None: ...
     def run_next(self) -> bool: ...
 
 
@@ -183,9 +182,9 @@ class SyncClient:
     """Single-device flusher: drains the outbox strictly in order.
 
     State machine per record: send -> (ack: pop, emit ``delivered``) |
-    (failure: sleep backoff, resend). Only the acknowledgement of the most
-    recent send is honored; stale acknowledgements from retransmission races
-    are ignored, and the sink's idempotency-key dedup keeps the table
+    (failure: sleep backoff, resend). Only the outcome of the most recent
+    send counts: one is stale unless ``entry is self._in_flight and attempt
+    == entry.attempts``. The sink's idempotency-key dedup keeps the table
     single-copy. What happens to each record is told through ``on_event``
     only; the client keeps no log of its own beyond the parked
     ``dead_letters``.
@@ -204,7 +203,6 @@ class SyncClient:
         self._policy = policy or RetryPolicy()
         self._queue = queue if queue is not None else OutboxQueue()
         self._emit = on_event
-        self._send_serial = 0
         self._in_flight: OutboxEntry | None = None  # sending or waiting out a backoff
         self.dead_letters: list[CloudRecord] = []  # parked for an operator to re-send
 
@@ -250,17 +248,16 @@ class SyncClient:
 
     def _send(self, entry: OutboxEntry) -> None:
         entry.attempts += 1
-        self._send_serial += 1
-        serial = self._send_serial
+        attempt = entry.attempts
         key = codec.idempotency_key(entry.record)
-        self._emit("send_attempt", {"key": key, "attempt": entry.attempts})
+        self._emit("send_attempt", {"key": key, "attempt": attempt})
         self._transport.send(
-            entry.payload, lambda outcome: self._on_result(serial, entry, outcome)
+            entry.payload, lambda outcome: self._on_result(entry, attempt, outcome)
         )
 
-    def _on_result(self, serial: int, entry: OutboxEntry, outcome: SendOutcome) -> None:
-        if serial != self._send_serial or entry is not self._in_flight:
-            return  # stale ack/nack from an earlier incarnation of this send
+    def _on_result(self, entry: OutboxEntry, attempt: int, outcome: SendOutcome) -> None:
+        if entry is not self._in_flight or attempt != entry.attempts:
+            return  # stale ack/nack from an earlier send of this or another record
         key = codec.idempotency_key(entry.record)
         if isinstance(outcome, Ack):
             assert self._queue.head() is entry

@@ -323,6 +323,25 @@ class TestAccessEngine:
         assert [k for k, _ in events].count("auth_decision") == 1
         assert len(records) == 1
 
+    def test_deadline_after_a_cloud_decision_emits_nothing(self):
+        """Request 1's deadline fires while request 2 waits on the cloud:
+        it must neither decide request 2 nor decide request 1 again."""
+        engine, clock, cloud, records, events = make_engine(t_timeout_ms=5000)
+        cloud.scripts["FFFFFFFF"] = ("not_found", 0.5)
+        cloud.scripts["EEEEEEEE"] = ("not_found", 4.5)
+        engine.handle_request("FFFFFFFF", request_id="r1")  # deadline at 5.0
+        clock.run_until(1.0)
+        engine.handle_request("EEEEEEEE", request_id="r2")  # reply at 5.5, deadline at 6.0
+        clock.run_until(20.0)
+        decisions = [
+            (d["request_id"], d["source"], d["latency_ms"])
+            for k, d in events
+            if k == "auth_decision"
+        ]
+        assert decisions == [("r1", "cloud", 500.0), ("r2", "cloud", 4500.0)]
+        assert len(records) == 2
+        assert clock.pending() == 0
+
     def test_unavailable_reply_uses_fallback(self):
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["A1B2C3D4"] = ("unavailable", 0.5)

@@ -67,14 +67,6 @@ class TestSimClock:
         clock.run_until(1.0)
         assert fired == ["a", "b", "c"]
 
-    def test_cancel(self):
-        clock = SimClock(0.0)
-        fired = []
-        handle = clock.schedule(1.0, lambda: fired.append("x"))
-        clock.cancel(handle)
-        assert not clock.run_next()
-        assert fired == []
-
     def test_run_until_lands_exactly(self):
         clock = SimClock(0.0)
         clock.run_until(3600.0)
@@ -149,16 +141,25 @@ class TestSimClock:
         with pytest.raises(SimError):
             clock.add_source(iter([(5.0, lambda: None)]))
 
-    def test_acked_send_cancels_its_timeout(self):
+    def test_timeout_after_an_ack_gives_no_second_outcome(self):
         clock = SimClock()
         model = NetworkModel(latency_stddev_s=0.0)
         transport = SimTransport(clock, model, CloudSink(), DEFAULT_TOKEN, random.Random(1))
         record = CloudRecord(DeviceId("AC_001"), clock.now_ts(), "status", {}, 0)
         outcomes = []
         transport.send(encode(record), outcomes.append)
-        clock.run_until(2.0)  # latency 1.2 s; the timeout would fire at 5 s
+        clock.run_until(2.0)  # latency 1.2 s
+        assert [type(o) for o in outcomes] == [Ack]
+        assert clock.pending() == 1  # the timeout, due at 5 s
+        clock.run_until(10.0)
         assert [type(o) for o in outcomes] == [Ack]
         assert clock.pending() == 0
+
+        events = []
+        client = SyncClient(clock, transport, on_event=lambda kind, data: events.append(kind))
+        client.enqueue(dataclasses.replace(record, seq=1))
+        clock.run_until(20.0)
+        assert events == ["outbox_enqueued", "send_attempt", "delivered"]
 
 
 class TestNetworkModel:

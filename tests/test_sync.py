@@ -225,6 +225,36 @@ class TestSyncClient:
         client.flush()
         assert delivered(events) == [("AC_001:0", 0), ("AC_001:1", 0)]
 
+    def test_outcome_of_an_earlier_attempt_is_ignored(self):
+        clock = SimClock(Timestamp(1_705_300_000))
+
+        class HeldTransport:
+            def __init__(self):
+                self.callbacks = []
+
+            def send(self, payload, on_result):
+                self.callbacks.append(on_result)
+
+        transport = HeldTransport()
+        events = []
+        client = SyncClient(
+            clock=clock,
+            transport=transport,
+            on_event=lambda kind, data: events.append((kind, data)),
+        )
+        client.enqueue(record(0))
+        first = transport.callbacks[0]
+        first(SendTimeout())
+        clock.run_until(clock.now() + 1.0)  # the backoff; attempt 2 goes out
+        assert len(transport.callbacks) == 2
+        first(Ack(7))  # attempt 1's late ack, during attempt 2
+        first(Nack("late"))
+        assert delivered(events) == [] and client.queue_depth() == 1
+        assert [d["attempt"] for k, d in events if k == "send_failed"] == [1]
+        transport.callbacks[1](Ack(3))
+        assert delivered(events) == [("AC_001:0", 3)]
+        assert client.idle()
+
     def test_overflow_rejection_reports_loss(self):
         clock = SimClock(Timestamp(1_705_300_000))
 
