@@ -162,7 +162,7 @@ def _cmd_serve_sink(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     try:
         state = parse_json(Path(args.sink_state).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot read sink state: {exc}", file=sys.stderr)
         return 1
     try:

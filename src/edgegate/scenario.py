@@ -18,6 +18,7 @@ all-day, every-day default, differ from ``AccessPolicy``'s fields.
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -418,8 +419,18 @@ def _weekdays(value) -> frozenset[Weekday]:
     return frozenset(Weekday.from_name(str(name)) for name in value)
 
 
+def _finite(value: int | float) -> float:
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 _LEAF_READERS: dict[object, Callable] = {
-    float: _typed((int, float), "a number", float),
+    float: _typed((int, float), "a number", _finite),
     int: _typed(int, "an integer", int),
     str: _typed(str, "a string", str),
     Timestamp: lambda value: Timestamp.from_iso8601(str(value)),

@@ -43,7 +43,7 @@ from .scenario import (
     NetworkConfig,
     Scenario,
 )
-from .sink import CloudSink, UnauthorizedError, UnavailableError
+from .sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableError
 from .sync import Ack, Nack, OutboxQueue, SendOutcome, SendTimeout, SyncClient
 from .trace import EventTrace, GroundTruth
 from .wire import SinkServer, WireError
@@ -327,6 +327,9 @@ class SimTransport:
                 return
             except UnauthorizedError:
                 finish(Nack("unauthorized"))
+                return
+            except StaleRecordError:
+                finish(Nack("stale"))
                 return
             except codec.CodecError as exc:
                 finish(Nack(f"schema: {exc}"))

@@ -3,9 +3,12 @@ a per-card authorization table behind a static bearer token.
 
 Appends are deduplicated by idempotency key: retransmitting a record returns
 the original row index without growing the table, which is what turns the
-client's at-least-once delivery into exactly-once rows. Fault injection is a
-simple availability flag so tests and scenarios can emulate outages that are
-distinct from network partitions.
+client's at-least-once delivery into exactly-once rows. A new key whose
+``seq`` is below the highest already stored for its device is refused as
+stale, so a late copy of a record the device has given up on cannot land
+after its successors: per-device order holds under a finite retry budget
+too. Fault injection is a simple availability flag so tests and scenarios
+can emulate outages that are distinct from network partitions.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import io
 import json
 from json.encoder import encode_basestring
+from typing import Iterable
 
 from . import codec
 from .codec import CloudRecord, DataValue
@@ -36,6 +40,11 @@ class UnavailableError(SinkError):
     """Fault injection is active; callers should treat this like an outage."""
 
 
+class StaleRecordError(SinkError):
+    """A new key's ``seq`` is below its device's highest stored ``seq``; the
+    table is untouched."""
+
+
 class SheetRow:
     __slots__ = ("row_index", "record", "received_at")
 
@@ -46,11 +55,13 @@ class SheetRow:
 
 
 class SheetTable:
-    """Append-only storage: rows never mutate and indices are dense from 0."""
+    """Append-only storage: rows never mutate, indices are dense from 0, and
+    each device's rows are stored in ``seq`` order."""
 
     def __init__(self) -> None:
         self._rows: list[SheetRow] = []
         self._seen: dict[str, int] = {}
+        self._high_seq: dict[str, int] = {}  # device -> highest stored seq
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -61,11 +72,17 @@ class SheetTable:
 
     def append(self, record: CloudRecord, received_at: Timestamp) -> int:
         """Append unless the idempotency key was already stored; either way
-        the returned index is the row holding this key."""
+        the returned index is the row holding this key. A new key below its
+        device's highest stored ``seq`` raises ``StaleRecordError``."""
         key = codec.idempotency_key(record)
         existing = self._seen.get(key)
         if existing is not None:
             return existing
+        device = record.device_id.value
+        high = self._high_seq.get(device, -1)
+        if record.seq < high:
+            raise StaleRecordError(f"{key} is below {device}'s stored seq {high}")
+        self._high_seq[device] = record.seq
         row_index = len(self._rows)
         self._rows.append(SheetRow(row_index, record, received_at))
         self._seen[key] = row_index
@@ -154,10 +171,14 @@ class CloudSink:
 def export_csv(table: SheetTable) -> bytes:
     """One row per stored record, header first, stable column order; the data
     map flattens to semicolon-joined key=value pairs."""
+    return _csv_rows(table.rows)
+
+
+def _csv_rows(rows: Iterable[SheetRow]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in table.rows:
+    for row in rows:
         record = row.record
         flattened = ";".join(f"{k}={_csv_scalar(v)}" for k, v in record.data.items())
         writer.writerow(
@@ -235,10 +256,17 @@ def _json_scalar(value: DataValue) -> str:
 
 
 def state_to_csv(state: dict) -> bytes:
-    """CSV export from a saved sink snapshot (the ``state_dict`` shape)."""
-    table = SheetTable()
+    """CSV export from a saved sink snapshot (the ``state_dict`` shape): one
+    line per snapshot row, with its own ``row_index``. A key on two rows
+    raises ``SinkError`` naming both, as no row is left out silently."""
+    rows: list[SheetRow] = []
+    seen: dict[str, int] = {}
     for row in state.get("rows", []):
         record = codec.decode(json.dumps(row["record"]).encode("utf-8"))
-        received = Timestamp.from_iso8601(row["received_at"])
-        table.append(record, received)
-    return export_csv(table)
+        row_index = row["row_index"]
+        key = codec.idempotency_key(record)
+        if key in seen:
+            raise SinkError(f"key {key} is on two rows: row_index {seen[key]} and {row_index}")
+        seen[key] = row_index
+        rows.append(SheetRow(row_index, record, Timestamp.from_iso8601(row["received_at"])))
+    return _csv_rows(rows)

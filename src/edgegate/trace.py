@@ -120,7 +120,7 @@ def read_jsonl(lines: Iterable[bytes]) -> tuple[dict, Iterator[tuple[float, int,
         raise TraceError("empty trace")
     try:
         head = parse_json(_decode(*first))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceError(f"bad meta line: {exc}") from None
     if not isinstance(head, dict) or head.get("kind") != "meta":
         raise TraceError("first trace line must be the meta record")
@@ -145,7 +145,7 @@ def _read_events(numbered: Iterator[tuple[int, bytes]]) -> Iterator[tuple[float,
             continue
         try:
             obj = parse_json(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceError(f"line {i}: {exc}") from None
         try:
             t, seq, kind = float(obj["t"]), int(obj["seq"]), str(obj["kind"])

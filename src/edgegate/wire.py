@@ -22,7 +22,7 @@ import threading
 
 from . import codec
 from .core import AccessPolicy, ClockPort, SystemClock, Uid
-from .sink import CloudSink, UnauthorizedError, UnavailableError
+from .sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableError
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LEN = struct.Struct(">I")
@@ -40,6 +40,7 @@ class WireError(Exception):
 _ERROR_CODES: tuple[tuple[str, type[Exception]], ...] = (
     ("unauthorized", UnauthorizedError),
     ("unavailable", UnavailableError),
+    ("stale", StaleRecordError),
     ("unknown_event_type", codec.UnknownEventTypeError),
     ("parse", codec.ParseError),
     ("schema", codec.SchemaError),

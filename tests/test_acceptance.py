@@ -52,7 +52,7 @@ from edgegate.scenario import (
     load_scenario,
 )
 from edgegate.sim import NetworkModel, SimClock, SimCloudClient, SimTransport, Simulation, run
-from edgegate.sink import CloudSink
+from edgegate.sink import CloudSink, StaleRecordError
 from edgegate.sync import OutboxQueue, RetryPolicy, SyncClient, backoff_delay
 from edgegate.trace import EventTrace, GroundTruth
 
@@ -482,3 +482,55 @@ def test_12_auth_correctness_at_scale():
         started,
         120.0,
     )
+
+
+def test_13_per_device_order_under_a_finite_retry_budget():
+    """Every send times out after 0.5 s while its copy takes about 4 s to
+    reach the sink, and each record gets one attempt: the device gives up
+    on each record while its copy is still in transit and sends the next.
+    A short gate cycle lets records follow each other about a second
+    apart, so the copies race each other; whatever order they land in,
+    each device's rows must be in ``seq`` order."""
+    started = time.perf_counter()
+    scenario = Scenario(
+        seed=27,
+        start_time=Timestamp.from_iso8601("2024-01-15T00:00:00Z"),
+        duration_s=1800.0,
+        devices=tuple(
+            DeviceConfig(
+                device_id=DeviceId(f"AC_00{i}"),
+                role="access",
+                auth=AuthConfig(t_entry_s=0.2),
+                retry=RetryPolicy(max_attempts=1),
+                send_timeout_s=0.5,
+            )
+            for i in (1, 2)
+        ),
+        workload=WorkloadConfig(access=ArrivalConfig(rate_per_s=1.0)),
+        authz=(always_open("A1B2C3D4"),),
+        network=NetworkConfig(latency_mean_s=4.0, latency_stddev_s=1.5),
+    )
+    sim = Simulation(scenario)
+    stale = []
+    append = sim.sink.table.append
+
+    def spy(record, received_at):
+        try:
+            return append(record, received_at)
+        except StaleRecordError:
+            stale.append(codec.idempotency_key(record))
+            raise
+
+    sim.sink.table.append = spy
+    trace, report = sim.run()
+
+    assert report.counts["dead_lettered"] > 100
+    seqs: dict[str, list[int]] = {}
+    for row in sim.sink.table.rows:
+        seqs.setdefault(row.record.device_id.value, []).append(row.record.seq)
+    assert set(seqs) == {"AC_001", "AC_002"}
+    for device, order in seqs.items():
+        assert order == sorted(set(order)), f"{device} rows out of seq order"
+    assert stale  # late copies did arrive behind their successors
+    _report(13, f"per-device order, one attempt per record ({len(stale)} stale copies refused)",
+            started, 30.0)

@@ -127,6 +127,14 @@ class TestReplay:
         assert main(["replay", str(path)]) == 2
         assert "replay failed: decision for unknown request 'r0'" in capsys.readouterr().err
 
+    def test_meta_line_nested_too_deep_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"kind":"meta","truth":' + b"[" * 100_000 + b"]" * 100_000 + b"}\n")
+        assert main(["replay", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "cannot read trace: bad meta line: maximum recursion depth exceeded"
+        )
+
     def test_bad_line_after_scoring_failure_exits_one(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         path.write_bytes(
@@ -151,6 +159,37 @@ class TestExport:
 
     def test_unreadable_state_exits_one(self, tmp_path):
         assert main(["export", str(tmp_path / "missing.json"), "--csv"]) == 1
+
+    @pytest.mark.parametrize(
+        "payload, err",
+        [
+            (b'{"rows":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+             "cannot read sink state: maximum recursion depth exceeded"),
+            (b'{"rows": []}\xff', "cannot read sink state: 'utf-8' codec can't decode"),
+        ],
+        ids=["nested_too_deep", "not_utf8"],
+    )
+    def test_undecodable_state_exits_one(self, tmp_path, capsys, payload, err):
+        path = tmp_path / "sink.json"
+        path.write_bytes(payload)
+        assert main(["export", str(path), "--csv"]) == 1
+        assert capsys.readouterr().err.startswith(err)
+
+    def test_key_on_two_rows_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", str(GOOD), "--out", str(out)])
+        capsys.readouterr()
+        state = json.loads((out / "sink.json").read_text())
+        state["rows"][3]["record"] = state["rows"][1]["record"]
+        key = "{device_id}:{seq}".format(**state["rows"][1]["record"])
+        path = tmp_path / "sink.json"
+        path.write_text(json.dumps(state))
+        assert main(["export", str(path), "--csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"export failed: key {key} is on two rows: row_index 1 and 3\n"
+        )
 
 
 class TestTokenOverride:
@@ -188,6 +227,29 @@ class TestScenarioErrors:
         args = [command, path] + (["--out", str(tmp_path / "o")] if command == "run" else [])
         assert main(args) == 1
         assert "devices[0].kalman: measurement noise r must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, issue",
+        [
+            ("duration_s: .nan\n", "duration_s: expected a finite number, got nan"),
+            ("network: {drop_prob: .nan}\n",
+             "network.drop_prob: expected a finite number, got nan"),
+            ("devices:\n  - {device_id: SM_001, role: safety, kalman: {r: .inf}}\n",
+             "devices[0].kalman.r: expected a finite number, got inf"),
+            # An integer past the float range cannot be converted at all.
+            ("duration_s: 1" + "0" * 400 + "\n",
+             "duration_s: expected a finite number, got 1" + "0" * 400),
+        ],
+        ids=["duration_nan", "drop_prob_nan", "kalman_r_inf", "int_past_float_range"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_number_exits_one_with_its_path(
+        self, tmp_path, capsys, command, text, issue
+    ):
+        path = self.write(tmp_path, text)
+        args = [command, path] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+        assert main(args) == 1
+        assert issue in capsys.readouterr().err
 
     @pytest.mark.parametrize("period, code", [(0.0004, 1), (0.0015, 1), (0.002, 0)])
     def test_flame_period_floor(self, tmp_path, capsys, period, code):

@@ -11,6 +11,8 @@ from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.sink import (
     CSV_COLUMNS,
     CloudSink,
+    SinkError,
+    StaleRecordError,
     UnauthorizedError,
     UnavailableError,
     export_csv,
@@ -87,6 +89,28 @@ class TestAppend:
         assert [(r.row_index, r.record) for r in sink.table.rows][:3] == snapshot
 
 
+class TestPerDeviceOrder:
+    def test_new_key_below_the_stored_seq_is_stale(self):
+        sink = CloudSink()
+        for seq in (0, 2):
+            sink.append(TOKEN, codec.encode(record(seq)), T0)
+        with pytest.raises(StaleRecordError, match="AC_001:1 is below AC_001's stored seq 2"):
+            sink.append(TOKEN, codec.encode(record(1)), T0)
+        assert [row.record.seq for row in sink.table.rows] == [0, 2]
+        # Gaps are allowed, and one device's seq does not fence another's.
+        assert sink.append(TOKEN, codec.encode(record(9)), T0) == 2
+        assert sink.append(TOKEN, codec.encode(record(0, "AC_002")), T0) == 3
+
+    def test_stored_key_still_returns_its_row(self):
+        sink = CloudSink()
+        for seq in range(3):
+            sink.append(TOKEN, codec.encode(record(seq)), T0)
+        # Deduplication comes before the check, so a retransmission of an
+        # earlier stored record is acknowledged with its row.
+        assert sink.append(TOKEN, codec.encode(record(1)), T0) == 1
+        assert len(sink.table) == 3
+
+
 class TestQueryPolicy:
     def test_provisioned_uid_returns_policy_verbatim(self):
         sink = CloudSink()
@@ -141,6 +165,18 @@ class TestStateSnapshot:
         sink.append(TOKEN, codec.encode(listing_record), T0)
         state = sink.state_dict()
         assert state_to_csv(state) == export_csv(sink.table)
+
+    def test_key_on_two_rows_is_an_error(self):
+        state = snapshot(record(0), record(1))
+        state["rows"][1]["record"] = state["rows"][0]["record"]
+        with pytest.raises(SinkError, match="key AC_001:0 is on two rows: row_index 0 and 1"):
+            state_to_csv(state)
+
+    def test_every_snapshot_row_is_exported_as_stored(self):
+        state = snapshot(record(0), record(1))
+        state["rows"].reverse()  # rows out of seq order, as older sinks could store them
+        lines = state_to_csv(state).decode().splitlines()
+        assert [line.split(",")[:5:4] for line in lines[1:]] == [["1", "1"], ["0", "0"]]
 
     def test_snapshot_is_json_ready(self, listing_record):
         sink = CloudSink()

@@ -169,7 +169,7 @@ def reference_read_jsonl(lines: Iterable[bytes]) -> tuple[dict, Iterator[tuple[f
         raise TraceError("empty trace")
     try:
         head = json.loads(reference_decode(*first))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceError(f"bad meta line: {exc}") from None
     if not isinstance(head, dict) or head.get("kind") != "meta":
         raise TraceError("first trace line must be the meta record")
@@ -190,7 +190,7 @@ def reference_read_events(numbered: Iterator[tuple[int, bytes]]) -> Iterator[tup
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceError(f"line {i}: {exc}") from None
         try:
             event = float(obj["t"]), int(obj["seq"]), str(obj["kind"]), dict(obj.get("data", {}))
@@ -207,7 +207,7 @@ def read_outcome(read, payload: bytes) -> tuple:
         meta, events = read(io.BytesIO(payload))
         got.append(meta)
         got.extend(events)
-    except (TraceError, RecursionError) as exc:
+    except TraceError as exc:
         return repr(got), type(exc), str(exc)
     return repr(got), None, None
 
@@ -373,8 +373,8 @@ class TestAgainstTheReferenceReader:
         [
             (b"[1,2]", 1, "cannot read trace: line 2: bad event: list indices"),
             (b"\xff", 1, "cannot read trace: line 2: 'utf-8' codec can't decode byte 0xff"),
-            (b'{"t":1,"seq":0,"kind":"x","data":' + _DEEP.encode() + b"}", 2,
-             "replay failed: maximum recursion depth exceeded"),
+            (b'{"t":1,"seq":0,"kind":"x","data":' + _DEEP.encode() + b"}", 1,
+             "cannot read trace: line 2: maximum recursion depth exceeded"),
             (b'{"t":1,"seq":0,"kind":"auth_decision","data":{"request_id":"r9"}}', 2,
              "replay failed: decision for unknown request 'r9'"),
         ],

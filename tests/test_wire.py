@@ -11,7 +11,7 @@ from edgegate import codec
 from edgegate.codec import CloudRecord, ParseError, UnknownEventTypeError
 from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.sim import NetworkModel, SimClock, SimTransport
-from edgegate.sink import CloudSink, UnauthorizedError, UnavailableError
+from edgegate.sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableError
 from edgegate.sync import SyncClient
 from edgegate.wire import RemoteSink, SinkServer, WireError, read_frame, write_frame
 from edgegate.wire import MAX_FRAME_BYTES
@@ -110,6 +110,15 @@ class TestSocketParity:
         server.sink.available = False
         with pytest.raises(UnavailableError):
             remote.append(TOKEN, codec.encode(record(1)))
+
+    def test_stale_record_over_the_socket(self, server, remote):
+        remote.append(TOKEN, codec.encode(record(0)))
+        remote.append(TOKEN, codec.encode(record(2)))
+        with pytest.raises(StaleRecordError, match="AC_001:1 is below AC_001's stored seq 2"):
+            remote.append(TOKEN, codec.encode(record(1)))
+        assert remote.append(TOKEN, codec.encode(record(0))) == 0  # a stored key still acks
+        assert remote.append(TOKEN, codec.encode(record(3))) == 2  # the connection survives
+        assert len(server.sink.table) == 3
 
     def test_same_results_as_inprocess_twin(self, server, remote):
         twin = CloudSink(TOKEN)
