@@ -4,7 +4,6 @@ an offline-first durable uplink to a mock append-only cloud sink."""
 from .auth import (
     AccessEngine,
     AuthConfig,
-    AuthResult,
     FallbackMode,
     GateActuator,
     Outcome,
@@ -41,7 +40,6 @@ __all__ = [
     "AccessEngine",
     "AccessPolicy",
     "AuthConfig",
-    "AuthResult",
     "CloudRecord",
     "CloudSink",
     "DeviceId",

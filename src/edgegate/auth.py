@@ -33,10 +33,6 @@ class MalformedUidError(AuthError, ValueError):
     """Raw uid is not 8 hex characters; dropped without side effects."""
 
 
-class GateBusyError(AuthError):
-    """A request arrived while the engine was mid-request or mid-gate-cycle."""
-
-
 class InvalidGateTransitionError(AuthError):
     """Gate state transitions only Closed->Opening->Open->Closing->Closed."""
 
@@ -90,15 +86,6 @@ class AuthConfig:
         ):
             if not 0 <= angle <= 180:
                 raise AuthError(f"{name} must be in [0, 180], got {angle}")
-
-
-@dataclass(frozen=True)
-class AuthResult:
-    outcome: Outcome
-    source: DecisionSource
-    decision_latency_ms: float
-    uid: Uid
-    at: Timestamp
 
 
 @dataclass(frozen=True)
@@ -263,19 +250,12 @@ class CloudQueryPort(Protocol):
     def query_policy(self, uid: Uid, on_reply: Callable[[PolicyReply], None]) -> None: ...
 
 
-class RequestDisposition(Enum):
-    ACCEPTED = "accepted"
-    REJECTED_INPUT = "rejected_input"
-    GATE_BUSY = "gate_busy"
-
-
 @dataclass
 class _Request:
     """An accepted request, from acceptance until its decision."""
 
     uid: Uid
     started: float
-    on_result: Callable[[AuthResult], None] | None
     request_id: str | None
 
 
@@ -317,59 +297,36 @@ class AccessEngine:
 
     # -- request entry points ------------------------------------------------
 
-    def handle_request(
-        self,
-        raw_uid: str,
-        on_result: Callable[[AuthResult], None] | None = None,
-        request_id: str | None = None,
-    ) -> RequestDisposition:
+    def handle_request(self, raw_uid: str, request_id: str | None = None) -> None:
         """Begin processing a card presentation at the current simulated time.
 
-        Returns the immediate disposition; for an accepted request the
-        AuthResult is delivered through ``on_result`` once the decision
-        resolves (same instant for a cache hit, later for the cloud path).
-        ``request_id`` is carried into the request's decision event
-        (``auth_decision``, ``rejected_input`` or ``gate_busy``).
+        The request ends in exactly one decision event, carrying
+        ``request_id``: ``rejected_input`` or ``gate_busy`` at once for a
+        refused request, else ``auth_decision`` once the decision resolves
+        (same instant for a cache hit, later for the cloud path).
         """
         if self._busy:
             self._event_out("gate_busy", {"request_id": request_id, "raw_uid": raw_uid})
-            return RequestDisposition.GATE_BUSY
+            return
         try:
             uid = validate_uid_format(raw_uid)
         except MalformedUidError:
             self._event_out("rejected_input", {"request_id": request_id, "raw_uid": raw_uid})
-            return RequestDisposition.REJECTED_INPUT
+            return
 
         self._busy = True
-        request = _Request(uid, self._clock.now(), on_result, request_id)
+        request = _Request(uid, self._clock.now(), request_id)
         now_ts = self._clock.now_ts()
         entry = self.cache.lookup(uid, now_ts)
         if entry is not None:
             self._finish(request, check_temporal(entry.policy, now_ts), DecisionSource.CACHE)
-            return RequestDisposition.ACCEPTED
+            return
 
         self._pending = request
         self._clock.schedule(
             self.config.t_timeout_ms / 1000.0, lambda: self._on_cloud_deadline(request)
         )
         self._cloud.query_policy(uid, lambda reply: self._on_cloud_reply(request, reply))
-        return RequestDisposition.ACCEPTED
-
-    def process_request(self, raw_uid: str) -> AuthResult:
-        """Synchronous form: runs the scheduler until the decision resolves.
-
-        Raises MalformedUidError or GateBusyError for refused requests.
-        """
-        box: list[AuthResult] = []
-        disposition = self.handle_request(raw_uid, box.append)
-        if disposition is RequestDisposition.REJECTED_INPUT:
-            raise MalformedUidError(f"rejected input: {raw_uid!r}")
-        if disposition is RequestDisposition.GATE_BUSY:
-            raise GateBusyError("engine busy with a previous request")
-        while not box:
-            if not self._clock.run_next():
-                raise AuthError("scheduler exhausted before the decision resolved")
-        return box[0]
 
     # -- decision plumbing ---------------------------------------------------
 
@@ -419,8 +376,6 @@ class AccessEngine:
                 "latency_ms": latency_ms,
             },
         )
-        if request.on_result is not None:
-            request.on_result(AuthResult(outcome, source, latency_ms, uid, at))
 
     def _close_gate(self) -> None:
         self.gate.begin_close()

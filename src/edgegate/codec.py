@@ -7,7 +7,8 @@ always produce identical bytes; that byte stability is what makes
 retransmissions safely deduplicable. Decoding additionally accepts
 pretty-printed input and, for compatibility with senders that omit it,
 tolerates a missing ``seq``: it decodes as 0, and :func:`parse_record`
-reports its absence so the sink can assign one from arrival order.
+reports its absence so the sink can assign the next ``seq`` after the
+device's highest stored one.
 
 Every JSON text the package writes goes through :func:`compact_json`, and
 every JSON text it reads (trace lines, wire frame bodies, records, reports,

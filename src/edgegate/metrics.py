@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from .codec import parse_json
@@ -49,20 +49,7 @@ class MetricsReport:
     queue_depth_series: list[list[float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "auth_accuracy": self.auth_accuracy,
-            "far": self.far,
-            "frr": self.frr,
-            "response_mean_ms": self.response_mean_ms,
-            "response_p95_ms": self.response_p95_ms,
-            "logging_success": self.logging_success,
-            "latency_mean_s": self.latency_mean_s,
-            "latency_p95_s": self.latency_p95_s,
-            "counts": dict(self.counts),
-            "detection": dict(self.detection),
-            "queue_depth_series": [list(p) for p in self.queue_depth_series],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MetricsReport":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 from json.encoder import encode_basestring
 from typing import Iterable
 
@@ -114,8 +115,6 @@ class CloudSink:
         self.table = SheetTable()
         self.authz = AuthzTable()
         self.available = True
-        # Arrival-order seq assignment for senders that omit the field.
-        self._auto_seq: dict[str, int] = {}
 
     def seed_policies(self, policies: list[AccessPolicy] | dict[Uid, AccessPolicy]) -> None:
         values = policies.values() if isinstance(policies, dict) else policies
@@ -130,20 +129,13 @@ class CloudSink:
 
     def append(self, token: str, record_bytes: bytes, received_at: Timestamp) -> int:
         """Validate, decode and store; duplicate keys return the original row
-        index without appending."""
+        index without appending. A record without ``seq`` gets the next one
+        after its device's highest stored ``seq``."""
         self._check(token)
         record, seq_present = codec.parse_record(record_bytes)
         if not seq_present:
-            device = record.device_id.value
-            assigned = self._auto_seq.get(device, 0)
-            self._auto_seq[device] = assigned + 1
-            record = CloudRecord(
-                device_id=record.device_id,
-                timestamp=record.timestamp,
-                event_type=record.event_type,
-                data=record.data,
-                seq=assigned,
-            )
+            high = self.table._high_seq.get(record.device_id.value, -1)
+            record = replace(record, seq=high + 1)
         return self.table.append(record, received_at)
 
     def query_policy(self, token: str, uid: Uid) -> AccessPolicy | None:

@@ -127,9 +127,6 @@ class OutboxQueue:
         self._entries: deque[OutboxEntry] = deque()
         self.dropped = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def depth(self) -> int:
         return len(self._entries)
 
@@ -175,18 +172,20 @@ class SchedulerPort(Protocol):
     def now(self) -> float: ...
     def now_ts(self) -> Timestamp: ...
     def schedule(self, delay_s: float, fn: Callable[[], None]) -> None: ...
-    def run_next(self) -> bool: ...
 
 
 class SyncClient:
-    """Single-device flusher: drains the outbox strictly in order.
+    """Single-device uplink: drains the outbox strictly in order as the
+    clock runs.
 
     State machine per record: send -> (ack: pop, emit ``delivered``) |
     (failure: sleep backoff, resend). Only the outcome of the most recent
     send counts: one is stale unless ``entry is self._in_flight and attempt
-    == entry.attempts``. The sink's idempotency-key dedup keeps the table
-    single-copy. What happens to each record is told through ``on_event``
-    only; the client keeps no log of its own beyond the parked
+    == entry.attempts``. The record in flight stays at the head of the
+    queue until it is acknowledged or dead-lettered, so an empty queue
+    means nothing is in flight. The sink's idempotency-key dedup keeps the
+    table single-copy. What happens to each record is told through
+    ``on_event`` only; the client keeps no log of its own beyond the parked
     ``dead_letters``.
     """
 
@@ -208,10 +207,6 @@ class SyncClient:
 
     def queue_depth(self) -> int:
         return self._queue.depth()
-
-    @property
-    def dropped_total(self) -> int:
-        return self._queue.dropped
 
     def enqueue(self, record: CloudRecord) -> bool:
         """Queue a record for delivery. Returns False if the overflow policy
@@ -288,22 +283,6 @@ class SyncClient:
             return
         delay = backoff_delay(entry.attempts, self._policy)
         self._clock.schedule(delay, lambda: self._send(entry))
-
-    def idle(self) -> bool:
-        return self._in_flight is None and self._queue.depth() == 0
-
-    def flush(self, max_events: int = 10_000_000) -> None:
-        """Pump the clock until the queue drains (or nothing is schedulable).
-        Simulated time advances as needed for backoff sleeps and transport
-        latency; each delivery is told through ``on_event``."""
-        self._maybe_send()
-        steps = 0
-        while not self.idle():
-            if not self._clock.run_next():
-                break
-            steps += 1
-            if steps >= max_events:
-                raise SyncError("flush exceeded its event budget; transport likely stuck")
 
 
 def queue_depth(queue: OutboxQueue) -> int:

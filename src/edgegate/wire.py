@@ -88,39 +88,6 @@ def _take_frame(buf: bytearray) -> dict | None:
     return obj
 
 
-def write_frame(sock: socket.socket, obj: dict) -> None:
-    sock.sendall(_frame(obj))
-
-
-def read_frame(sock: socket.socket) -> dict | None:
-    """Next frame as a dict, or None on clean EOF at a frame boundary.
-
-    ``read_frame`` and ``write_frame`` are blocking helpers for tests and
-    ad-hoc clients; the sink's own ends use ``_take_frame`` and ``_frame``
-    on a buffer per connection.
-    """
-    header = _read_exact(sock, _LEN.size)
-    if header is None:
-        return None
-    body = _read_exact(sock, _body_length(header))
-    if body is None:
-        raise WireError("connection closed mid-frame")
-    return _parse_body(body)
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Exactly ``n`` bytes; None on EOF before the first byte."""
-    chunks = b""
-    while len(chunks) < n:
-        part = sock.recv(n - len(chunks))
-        if not part:
-            if chunks:
-                raise WireError("connection closed mid-frame")
-            return None
-        chunks += part
-    return chunks
-
-
 def _handle_request(sink: CloudSink, clock: ClockPort, request: dict) -> dict:
     op = request.get("op")
     try:

@@ -20,7 +20,6 @@ from edgegate import codec
 from edgegate.auth import (
     AccessEngine,
     AuthConfig,
-    DecisionSource,
     Outcome,
     check_temporal,
 )
@@ -55,6 +54,8 @@ from edgegate.sim import NetworkModel, SimClock, SimCloudClient, SimTransport, S
 from edgegate.sink import CloudSink, StaleRecordError
 from edgegate.sync import OutboxQueue, RetryPolicy, SyncClient, backoff_delay
 from edgegate.trace import EventTrace, GroundTruth
+
+from helpers import decide, drain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TOKEN = "edgegate-mock-token"
@@ -296,7 +297,7 @@ def test_07_delivery_rate_model():
     t0 = Timestamp.from_iso8601("2024-01-15T00:00:00Z")
     for seq in range(n):
         client.enqueue(CloudRecord(device, t0, "status", {}, seq))
-    client.flush()
+    drain(client, clock)
 
     assert len(delivered) + len(client.dead_letters) == n
     success = len(delivered) / n
@@ -332,10 +333,10 @@ def test_08_latency_composition():
     hits = misses = 0
     for uid in uids:
         for _ in range(2):
-            result = engine.process_request(uid)
-            assert result.outcome is Outcome.GRANTED
-            latencies_s.append(result.decision_latency_ms / 1000.0)
-            if result.source is DecisionSource.CACHE:
+            _, decision = decide(engine, clock, uid)
+            assert decision["outcome"] == "granted"
+            latencies_s.append(decision["latency_ms"] / 1000.0)
+            if decision["source"] == "cache":
                 hits += 1
             else:
                 misses += 1

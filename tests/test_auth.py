@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from edgegate.auth import (
     AccessEngine,
     AuthConfig,
-    DecisionSource,
     FallbackMode,
     GateActuator,
-    GateBusyError,
     GateState,
     InvalidGateTransitionError,
     MalformedUidError,
@@ -17,7 +15,6 @@ from edgegate.auth import (
     PolicyCache,
     PolicyReply,
     ReplyKind,
-    RequestDisposition,
     cache_lookup,
     check_temporal,
     fallback_decision,
@@ -34,6 +31,8 @@ from edgegate.core import (
     Weekday,
 )
 from edgegate.sim import SimClock
+
+from helpers import decide
 
 MONDAY_0900 = Timestamp.from_iso8601("2024-01-15T09:00:00Z")
 
@@ -264,17 +263,18 @@ class TestAccessEngine:
         engine, clock, cloud, records, events = make_engine()
         uid = Uid("A1B2C3D4")
         engine.cache.update(uid, office_policy(), clock.now_ts(), 3600)
-        result = engine.process_request("A1B2C3D4")
-        assert result.outcome is Outcome.GRANTED
-        assert result.source is DecisionSource.CACHE
-        assert result.decision_latency_ms == 0.0
+        kind, decision = decide(engine, clock, "A1B2C3D4")
+        assert kind == "auth_decision"
+        assert decision["outcome"] == "granted"
+        assert decision["source"] == "cache"
+        assert decision["latency_ms"] == 0.0
         assert cloud.queries == 0
         assert len(records) == 1 and records[0].event_type == "access_granted"
 
     def test_gate_cycle_takes_exactly_t_entry(self):
         engine, clock, cloud, records, events = make_engine(t_entry_s=5.0)
         engine.cache.update(Uid("A1B2C3D4"), office_policy(), clock.now_ts(), 3600)
-        engine.process_request("A1B2C3D4")
+        decide(engine, clock, "A1B2C3D4")
         assert engine.gate.state is GateState.OPEN
         opened_at = clock.now()
         clock.run_until(clock.now() + 10)
@@ -289,35 +289,35 @@ class TestAccessEngine:
     def test_cloud_grant_populates_cache(self):
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["A1B2C3D4"] = ("policy", office_policy(), 1.2)
-        result = engine.process_request("A1B2C3D4")
-        assert result.outcome is Outcome.GRANTED
-        assert result.source is DecisionSource.CLOUD
-        assert result.decision_latency_ms == pytest.approx(1200.0)
+        _, decision = decide(engine, clock, "A1B2C3D4")
+        assert decision["outcome"] == "granted"
+        assert decision["source"] == "cloud"
+        assert decision["latency_ms"] == pytest.approx(1200.0)
         clock.run_until(clock.now() + 10)  # let the gate cycle finish
-        second = engine.process_request("A1B2C3D4")
-        assert second.source is DecisionSource.CACHE
+        _, second = decide(engine, clock, "A1B2C3D4")
+        assert second["source"] == "cache"
         assert cloud.queries == 1
 
     def test_cloud_not_found_denies(self):
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["FFFFFFFF"] = ("not_found", 0.8)
-        result = engine.process_request("FFFFFFFF")
-        assert result.outcome is Outcome.DENIED
-        assert result.source is DecisionSource.CLOUD
+        _, decision = decide(engine, clock, "FFFFFFFF")
+        assert decision["outcome"] == "denied"
+        assert decision["source"] == "cloud"
         assert records[0].event_type == "access_denied"
 
     def test_cloud_timeout_falls_back_to_deny(self):
         engine, clock, cloud, records, events = make_engine(t_timeout_ms=5000)
-        result = engine.process_request("FFFFFFFF")  # silent cloud
-        assert result.outcome is Outcome.DENIED
-        assert result.source is DecisionSource.FALLBACK
-        assert result.decision_latency_ms == pytest.approx(5000.0)
+        _, decision = decide(engine, clock, "FFFFFFFF")  # silent cloud
+        assert decision["outcome"] == "denied"
+        assert decision["source"] == "fallback"
+        assert decision["latency_ms"] == pytest.approx(5000.0)
 
     def test_late_reply_after_deadline_is_ignored(self):
         engine, clock, cloud, records, events = make_engine(t_timeout_ms=1000)
         cloud.scripts["A1B2C3D4"] = ("policy", office_policy(), 2.0)
-        result = engine.process_request("A1B2C3D4")
-        assert result.source is DecisionSource.FALLBACK
+        _, decision = decide(engine, clock, "A1B2C3D4")
+        assert decision["source"] == "fallback"
         clock.run_until(clock.now() + 10)
         # the late reply produced nothing
         assert [k for k, _ in events].count("auth_decision") == 1
@@ -345,14 +345,13 @@ class TestAccessEngine:
     def test_unavailable_reply_uses_fallback(self):
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["A1B2C3D4"] = ("unavailable", 0.5)
-        result = engine.process_request("A1B2C3D4")
-        assert result.source is DecisionSource.FALLBACK
-        assert result.outcome is Outcome.DENIED
+        _, decision = decide(engine, clock, "A1B2C3D4")
+        assert decision["source"] == "fallback"
+        assert decision["outcome"] == "denied"
 
     def test_malformed_uid_is_dropped_without_side_effects(self):
         engine, clock, cloud, records, events = make_engine()
-        with pytest.raises(MalformedUidError):
-            engine.process_request("xyz")
+        assert decide(engine, clock, "xyz")[0] == "rejected_input"
         assert cloud.queries == 0
         assert records == []
         assert [k for k, _ in events] == ["rejected_input"]
@@ -360,17 +359,16 @@ class TestAccessEngine:
     def test_request_during_gate_cycle_is_refused(self):
         engine, clock, cloud, records, events = make_engine()
         engine.cache.update(Uid("A1B2C3D4"), office_policy(), clock.now_ts(), 3600)
-        engine.process_request("A1B2C3D4")
-        with pytest.raises(GateBusyError):
-            engine.process_request("A1B2C3D4")
+        decide(engine, clock, "A1B2C3D4")
+        assert decide(engine, clock, "A1B2C3D4")[0] == "gate_busy"
         assert [k for k, _ in events].count("gate_busy") == 1
         clock.run_until(clock.now() + 6)
-        assert engine.process_request("A1B2C3D4").outcome is Outcome.GRANTED
+        assert decide(engine, clock, "A1B2C3D4")[1]["outcome"] == "granted"
 
     def test_denied_request_rings_buzzer_with_named_pattern(self):
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["FFFFFFFF"] = ("not_found", 0.2)
-        engine.process_request("FFFFFFFF")
+        decide(engine, clock, "FFFFFFFF")
         buzz = [d for k, d in events if k == "buzzer"]
         assert buzz == [{"pattern": "denied_triple_beep"}]
 
@@ -397,16 +395,14 @@ class TestAccessEngine:
         ]
 
     @pytest.mark.parametrize("uid, actuator", [("A1B2C3D4", "gate_open"), ("FFFFFFFF", "buzzer")])
-    def test_auth_decision_follows_actuator_and_precedes_on_result(self, uid, actuator):
+    def test_auth_decision_follows_actuator(self, uid, actuator):
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["A1B2C3D4"] = ("policy", office_policy(), 0.5)
         cloud.scripts["FFFFFFFF"] = ("not_found", 0.5)
-        engine.handle_request(
-            uid, lambda result: events.append(("on_result", {})), request_id="r7"
-        )
+        engine.handle_request(uid, request_id="r7")
         clock.run_until(clock.now() + 1)
         kinds = [k for k, _ in events]
-        assert kinds == [actuator, "auth_decision", "on_result"]
+        assert kinds == [actuator, "auth_decision"]
         assert events[1][1]["request_id"] == "r7"
         assert events[1][1]["source"] == "cloud"
 
@@ -414,9 +410,9 @@ class TestAccessEngine:
         engine, clock, cloud, records, events = make_engine()
         cloud.scripts["A1B2C3D4"] = ("policy", office_policy(), 0.5)
         cloud.scripts["FFFFFFFF"] = ("not_found", 0.5)
-        engine.process_request("A1B2C3D4")
+        decide(engine, clock, "A1B2C3D4")
         clock.run_until(clock.now() + 10)
-        engine.process_request("FFFFFFFF")
+        decide(engine, clock, "FFFFFFFF")
         clock.run_until(clock.now() + 10)
         assert len(records) == 2
         assert [r.seq for r in records] == [0, 1]
@@ -424,7 +420,7 @@ class TestAccessEngine:
     def test_granted_record_carries_listing_fields(self):
         engine, clock, cloud, records, events = make_engine(t_entry_s=5.0)
         engine.cache.update(Uid("A1B2C3D4"), office_policy(), clock.now_ts(), 3600)
-        engine.process_request("A1B2C3D4")
+        decide(engine, clock, "A1B2C3D4")
         record = records[0]
         assert record.data["uid"] == "A1B2C3D4"
         assert record.data["gate_status"] == "open"
@@ -435,8 +431,8 @@ class TestAccessEngine:
         # A policy granted this morning must deny after hours even on a hit.
         engine, clock, cloud, records, events = make_engine(cache_ttl_s=86400)
         engine.cache.update(Uid("A1B2C3D4"), office_policy(), clock.now_ts(), 86400)
-        assert engine.process_request("A1B2C3D4").outcome is Outcome.GRANTED
+        assert decide(engine, clock, "A1B2C3D4")[1]["outcome"] == "granted"
         clock.run_until(clock.now() + 12 * 3600)  # 21:00, outside the window
-        result = engine.process_request("A1B2C3D4")
-        assert result.source is DecisionSource.CACHE
-        assert result.outcome is Outcome.DENIED
+        _, decision = decide(engine, clock, "A1B2C3D4")
+        assert decision["source"] == "cache"
+        assert decision["outcome"] == "denied"

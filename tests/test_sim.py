@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgegate import cli
-from edgegate.auth import AccessEngine, DecisionSource, Outcome, check_temporal
+from edgegate.auth import AccessEngine, Outcome, check_temporal
 from edgegate.codec import CloudRecord, encode
 from edgegate.core import DeviceId, Timestamp
 from edgegate.scenario import (
@@ -236,11 +236,11 @@ class TestStoppedSocketSink:
             "Main_Entrance",
             clock,
             SimCloudClient(clock, model, remote, DEFAULT_TOKEN, random.Random(2)),
+            event_out=lambda kind, data: events.append((kind, data)),
         )
-        results = []
         try:
             client.enqueue(CloudRecord(DeviceId("AC_001"), clock.now_ts(), "status", {}, 0))
-            engine.handle_request("A1B2C3D4", results.append)
+            engine.handle_request("A1B2C3D4")
             clock.run_until(30.0)
         finally:
             remote.close()
@@ -250,8 +250,9 @@ class TestStoppedSocketSink:
         assert reasons and set(reasons) == {"unavailable"}
         assert client.queue_depth() == 1
         # the UNAVAILABLE reply decided, not the 5 s deadline
-        assert results[0].source is DecisionSource.FALLBACK
-        assert results[0].decision_latency_ms == pytest.approx(1200.0)
+        [decision] = [d for k, d in events if k == "auth_decision"]
+        assert decision["source"] == "fallback"
+        assert decision["latency_ms"] == pytest.approx(1200.0)
 
 
 def scenario_base(**overrides) -> Scenario:

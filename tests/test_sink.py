@@ -78,6 +78,20 @@ class TestAppend:
         assert (first, second) == (0, 1)
         assert [row.record.seq for row in sink.table.rows] == [0, 1]
 
+    def test_seqless_record_follows_the_devices_stored_seqs(self):
+        sink = CloudSink()
+        first = CloudRecord(DeviceId("AC_001"), T0, "status", {"a": 1}, 0)
+        body = json.loads(codec.encode(CloudRecord(DeviceId("AC_001"), T0, "status", {"b": 2})))
+        del body["seq"]
+        seqless = json.dumps(body).encode()
+        assert sink.append(TOKEN, codec.encode(first), T0) == 0
+        assert sink.append(TOKEN, seqless, T0) == 1
+        assert sink.append(TOKEN, codec.encode(record(5)), T0) == 2
+        assert sink.append(TOKEN, seqless, T0) == 3
+        assert [(row.record.seq, row.record.data) for row in sink.table.rows] == [
+            (0, {"a": 1}), (1, {"b": 2}), (5, {}), (6, {"b": 2}),
+        ]
+
     def test_append_only_bindings_never_change(self):
         sink = CloudSink()
         payloads = [codec.encode(record(i)) for i in range(5)]

@@ -22,6 +22,8 @@ from edgegate.sync import (
     queue_depth,
 )
 
+from helpers import drain
+
 
 def record(seq: int, device: str = "AC_001") -> CloudRecord:
     return CloudRecord(DeviceId(device), Timestamp(1_705_300_000), "status", {}, seq)
@@ -142,14 +144,14 @@ class TestSyncClient:
         client, clock, transport, events = make_client()
         for i in range(3):
             client.enqueue(record(i))
-        client.flush()
+        drain(client, clock)
         assert delivered(events) == [("AC_001:0", 0), ("AC_001:1", 1), ("AC_001:2", 2)]
         assert client.queue_depth() == 0
 
     def test_retry_delays_follow_backoff(self):
         client, clock, transport, events = make_client(script=[Nack(), Nack(), Ack(0)])
         client.enqueue(record(0))
-        client.flush()
+        drain(client, clock)
         # two immediate failures, then success after sleeping 1s and 2s
         assert clock.now() == pytest.approx(3.0)
         assert len(delivered(events)) == 1
@@ -162,7 +164,7 @@ class TestSyncClient:
         )
         client.enqueue(record(0))
         client.enqueue(record(1))
-        client.flush()
+        drain(client, clock)
         # the second record was never sent before the first was acknowledged
         sent_seqs = [d["key"] for k, d in events if k == "send_attempt"]
         assert sent_seqs == ["AC_001:0", "AC_001:0", "AC_001:1"]
@@ -173,14 +175,14 @@ class TestSyncClient:
         monkeypatch.setattr(codec, "encode", lambda r: encoded.append(r) or real_encode(r))
         client, clock, transport, events = make_client(script=[Nack(), SendTimeout(), Ack(0)])
         client.enqueue(record(0))
-        client.flush()
+        drain(client, clock)
         assert encoded == [record(0)]
         assert transport.sent_payloads == [codec.encode(record(0))] * 3
 
     def test_timeout_counts_as_failure(self):
         client, clock, transport, events = make_client(script=[SendTimeout(), Ack(0)])
         client.enqueue(record(0))
-        client.flush()
+        drain(client, clock)
         reasons = [d["reason"] for k, d in events if k == "send_failed"]
         assert reasons == ["timeout"]
         assert len(delivered(events)) == 1
@@ -190,7 +192,7 @@ class TestSyncClient:
             script=[Nack(), Nack(), Nack()], max_attempts=3
         )
         client.enqueue(record(0))
-        client.flush()
+        drain(client, clock)
         assert delivered(events) == []
         assert len(client.dead_letters) == 1
         assert client.queue_depth() == 0  # parked, not queued, never silent
@@ -199,7 +201,7 @@ class TestSyncClient:
         client, clock, transport, events = make_client(script=[Nack(), Ack(0), Ack(1)])
         client.enqueue(record(0))
         client.enqueue(record(1))
-        client.flush()
+        drain(client, clock)
         by_key: dict[str, list[int]] = {}
         for kind, data in events:
             if kind == "send_attempt":
@@ -222,7 +224,7 @@ class TestSyncClient:
         )
         client.enqueue(record(0))
         client.enqueue(record(1))
-        client.flush()
+        drain(client, clock)
         assert delivered(events) == [("AC_001:0", 0), ("AC_001:1", 0)]
 
     def test_outcome_of_an_earlier_attempt_is_ignored(self):
@@ -253,7 +255,7 @@ class TestSyncClient:
         assert [d["attempt"] for k, d in events if k == "send_failed"] == [1]
         transport.callbacks[1](Ack(3))
         assert delivered(events) == [("AC_001:0", 3)]
-        assert client.idle()
+        assert client.queue_depth() == 0
 
     def test_overflow_rejection_reports_loss(self):
         clock = SimClock(Timestamp(1_705_300_000))
@@ -263,10 +265,11 @@ class TestSyncClient:
                 pass  # no outcome ever arrives
 
         events = []
+        queue = OutboxQueue(capacity=2)
         client = SyncClient(
             clock=clock,
             transport=NeverTransport(),
-            queue=OutboxQueue(capacity=2),
+            queue=queue,
             on_event=lambda kind, data: events.append((kind, data)),
         )
         assert client.enqueue(record(0))
@@ -274,7 +277,7 @@ class TestSyncClient:
         assert not client.enqueue(record(2))
         drops = [d for k, d in events if k == "outbox_dropped"]
         assert drops == [{"key": "AC_001:2", "mode": "rejected"}]
-        assert client.dropped_total == 1
+        assert queue.dropped == 1
 
     def test_depth_tracks_acks(self):
         client, clock, transport, events = make_client(latency_s=0.5)
@@ -283,7 +286,7 @@ class TestSyncClient:
         assert client.queue_depth() == 5
         clock.run_until(clock.now() + 1.1)  # two round trips at 0.5s each
         assert client.queue_depth() == 3
-        client.flush()
+        drain(client, clock)
         assert client.queue_depth() == 0
 
 
@@ -301,10 +304,10 @@ class TestEventLedger:
         capacity=st.integers(1, 5),
         overflow=st.sampled_from(list(OverflowPolicy)),
         latency_s=st.sampled_from([0.0, 0.5]),
-        drain=st.booleans(),
+        drain_last=st.booleans(),
     )
     def test_every_offered_record_ends_once(
-        self, script, steps, max_attempts, capacity, overflow, latency_s, drain
+        self, script, steps, max_attempts, capacity, overflow, latency_s, drain_last
     ):
         # A step of None offers the next record; a number advances the clock.
         clock = SimClock(Timestamp(1_705_300_000))
@@ -323,8 +326,8 @@ class TestEventLedger:
                 client.enqueue(offered[-1])
             else:
                 clock.run_until(clock.now() + step)
-        if drain:
-            client.flush()
+        if drain_last:
+            drain(client, clock)
 
         enqueued = [d["key"] for k, d in events if k == "outbox_enqueued"]
         ends: dict[str, list[str]] = {}
@@ -339,7 +342,7 @@ class TestEventLedger:
             assert (key in enqueued) == (ends.get(key) != ["rejected"]), key
         assert len(enqueued) == len(set(enqueued))
         assert len(still_queued) == client.queue_depth()
-        if drain:
+        if drain_last:
             assert still_queued == []
 
         delivered_keys = [d["key"] for k, d in events if k == "delivered"]

@@ -378,6 +378,8 @@ class TestAgainstTheReferenceReader:
             (b'{"t":1,"seq":0,"kind":"auth_decision","data":{"request_id":"r9"}}', 2,
              "replay failed: decision for unknown request 'r9'"),
         ],
+        # None keeps the generated id; the nested row's would be 200 KB long.
+        ids=[None, None, "nested_too_deep", None],
     )
     def test_cli_replay_exit_codes(self, tmp_path, capsys, line, code, err):
         path = tmp_path / "trace.jsonl"

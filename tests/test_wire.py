@@ -13,10 +13,10 @@ from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.sim import NetworkModel, SimClock, SimTransport
 from edgegate.sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableError
 from edgegate.sync import SyncClient
-from edgegate.wire import RemoteSink, SinkServer, WireError, read_frame, write_frame
-from edgegate.wire import MAX_FRAME_BYTES
+from edgegate.wire import MAX_FRAME_BYTES, RemoteSink, SinkServer, WireError
 
 from conftest import always_open_policy
+from helpers import drain, read_frame, write_frame
 
 TOKEN = "edgegate-mock-token"
 T0 = Timestamp.from_iso8601("2024-01-15T14:30:45Z")
@@ -281,7 +281,7 @@ class TestCloseAfterAppend:
         )
         try:
             client.enqueue(record(0))
-            client.flush()
+            drain(client, clock)
         finally:
             remote.close()
             proxy.join(timeout=5)
