@@ -28,7 +28,7 @@ from .safety import (
     window_push,
 )
 from .scenario import Scenario, load_scenario, parse_scenario
-from .sim import NetworkModel, SimClock, Simulation, inject_partition, run, sample_latency
+from .sim import NetworkModel, SimClock, Simulation, run
 from .sink import CloudSink
 from .sync import OutboxQueue, RetryPolicy, SyncClient, backoff_delay
 from .trace import EventTrace, GroundTruth
@@ -77,13 +77,11 @@ __all__ = [
     "flame_threshold",
     "flow_anomaly",
     "idempotency_key",
-    "inject_partition",
     "kalman_update",
     "load_scenario",
     "parse_scenario",
     "render_report",
     "run",
-    "sample_latency",
     "seconds_of_day",
     "validate_uid_format",
     "weekday_of",

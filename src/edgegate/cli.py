@@ -17,7 +17,7 @@ from . import metrics as metrics_mod
 from . import sim
 from .codec import parse_json
 from .scenario import ConfigError, Scenario, load_scenario
-from .sink import DEFAULT_TOKEN, state_to_csv, state_to_json
+from .sink import DEFAULT_TOKEN, CloudSink, state_to_csv, state_to_json
 from .trace import TraceError
 from .wire import SinkServer
 
@@ -140,16 +140,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_serve_sink(args: argparse.Namespace) -> int:
     token = args.token or os.environ.get(TOKEN_ENV) or DEFAULT_TOKEN
-    from .sink import CloudSink
-
     sink = CloudSink(token)
     if args.scenario:
         scenario = _load(args.scenario)
         if scenario is None:
             return 1
-        sink.seed_policies(list(scenario.authz))
+        sink.seed_policies(scenario.authz)
     server = SinkServer(sink, host=args.host, port=args.port)
-    print(f"sink listening on {server.address[0]}:{server.port}")
+    print(f"sink listening on {server.address[0]}:{server.port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -157,7 +157,7 @@ class OutboxConfig:
 
 @dataclass(frozen=True)
 class KalmanConfig:
-    """Flow smoothing filter: process and measurement noise variance."""
+    """Flame intensity smoothing filter: process and measurement noise variance."""
 
     q: float = _bounded(0.01, lo=0.0)
     r: float = 1.0

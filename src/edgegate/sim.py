@@ -12,8 +12,8 @@ component from the master seed, which keeps one component's draws stable
 when another component is added.
 
 The network model layers truncated-normal latency, Bernoulli request/ack
-loss and scheduled partitions over an otherwise reliable in-process (or
-local-socket) sink.
+loss, scheduled partitions and drop windows over an otherwise reliable
+in-process (or local-socket) sink.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import functools
 import heapq
 import itertools
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import codec, metrics as metrics_mod
@@ -39,6 +39,7 @@ from .safety import SafetyMonitor
 from .scenario import (
     ArrivalConfig,
     DeviceConfig,
+    FaultsConfig,
     FlameWorkload,
     NetworkConfig,
     Scenario,
@@ -51,10 +52,6 @@ from .wire import SinkServer, WireError
 
 class SimError(Exception):
     """Simulator assembly or execution failure."""
-
-
-class OverlappingPartitionError(SimError):
-    """Partition intervals must be disjoint."""
 
 
 class _Source:
@@ -156,62 +153,39 @@ class SimClock:
         self._now_us = max(self._now_us, end_us)
 
 
-@dataclass
 class NetworkModel:
     """Connectivity model shared by authorization queries and uplink sends.
 
-    ``drop_windows`` overlays a time-varying drop schedule on the base
-    probability: inside a window the larger of the two applies.
+    It reads the scenario's network settings and fault schedule as they are;
+    the scenario reader has already checked their bounds and intervals, and
+    ``FaultsConfig`` keeps the partitions sorted and disjoint. Inside a drop
+    window the larger of the window's and the base drop probability applies.
     """
 
-    latency_mean_s: float = 1.2
-    latency_stddev_s: float = 0.3
-    latency_floor_s: float = 0.05
-    drop_prob: float = 0.0
-    ack_drop_prob: float = 0.0
-    partitions: list[tuple[float, float]] = field(default_factory=list)
-    drop_windows: list[tuple[float, float, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.latency_stddev_s < 0 or self.latency_floor_s < 0:
-            raise SimError("latency parameters must be non-negative")
-        for name, p in (("drop_prob", self.drop_prob), ("ack_drop_prob", self.ack_drop_prob)):
-            if not 0.0 <= p <= 1.0:
-                raise SimError(f"{name} must be a probability, got {p}")
-        for start, end, p in self.drop_windows:
-            if end <= start or not 0.0 <= p <= 1.0:
-                raise SimError(f"bad drop window [{start}, {end}) prob {p}")
-        spans = sorted(self.partitions)
-        for a, b in zip(spans, spans[1:]):
-            if b[0] < a[1]:
-                raise OverlappingPartitionError(f"partitions overlap near t={b[0]}")
-        self.partitions = spans
-
-    @classmethod
-    def from_config(cls, cfg: NetworkConfig, partitions=(), drop_windows=()) -> "NetworkModel":
-        return cls(
-            **asdict(cfg),
-            partitions=[(p.start_s, p.end_s) for p in partitions],
-            drop_windows=[(w.start_s, w.end_s, w.prob) for w in drop_windows],
-        )
+    def __init__(
+        self, config: NetworkConfig = NetworkConfig(), faults: FaultsConfig = FaultsConfig()
+    ) -> None:
+        self.config = config
+        self.faults = faults
 
     def sample_latency(self, rng: random.Random) -> float:
         """Normal draw truncated below at the floor (never negative or zero)."""
-        return max(self.latency_floor_s, rng.gauss(self.latency_mean_s, self.latency_stddev_s))
+        cfg = self.config
+        return max(cfg.latency_floor_s, rng.gauss(cfg.latency_mean_s, cfg.latency_stddev_s))
 
     def in_partition(self, t: float) -> bool:
-        for start, end in self.partitions:
-            if start <= t < end:
+        for span in self.faults.partitions:
+            if span.start_s <= t < span.end_s:
                 return True
-            if t < start:
+            if t < span.start_s:
                 break
         return False
 
     def drop_probability(self, t: float) -> float:
-        p = self.drop_prob
-        for start, end, q in self.drop_windows:
-            if start <= t < end:
-                p = max(p, q)
+        p = self.config.drop_prob
+        for window in self.faults.drop_windows:
+            if window.start_s <= t < window.end_s:
+                p = max(p, window.prob)
         return p
 
     def transit(self, t: float, rng: random.Random) -> float | None:
@@ -224,23 +198,6 @@ class NetworkModel:
         if drop_p > 0 and rng.random() < drop_p:
             return None
         return self.sample_latency(rng)
-
-
-def inject_partition(model: NetworkModel, start: float, end: float) -> None:
-    """Add a connectivity blackout over [start, end); intervals stay disjoint."""
-    if start >= end:
-        raise SimError(f"partition must have start < end, got [{start}, {end})")
-    for s, e in model.partitions:
-        if start < e and s < end:
-            raise OverlappingPartitionError(
-                f"partition [{start}, {end}) overlaps existing [{s}, {e})"
-            )
-    model.partitions.append((start, end))
-    model.partitions.sort()
-
-
-def sample_latency(model: NetworkModel, rng: random.Random) -> float:
-    return model.sample_latency(rng)
 
 
 def split_rng(seed: int, stream: str) -> random.Random:
@@ -315,9 +272,8 @@ class SimTransport:
         latency = self._model.transit(self._clock.now(), self._rng)
         if latency is None:
             return
-        ack_dropped = (
-            self._model.ack_drop_prob > 0 and self._rng.random() < self._model.ack_drop_prob
-        )
+        ack_drop_prob = self._model.config.ack_drop_prob
+        ack_dropped = ack_drop_prob > 0 and self._rng.random() < ack_drop_prob
 
         def deliver() -> None:
             try:
@@ -539,12 +495,10 @@ class Simulation:
         # The clock's epoch is the scenario start; times in trace events and
         # fault schedules are seconds relative to it.
         self.clock = SimClock(scenario.start_time)
-        self.network = NetworkModel.from_config(
-            scenario.network, scenario.faults.partitions, scenario.faults.drop_windows
-        )
+        self.network = NetworkModel(scenario.network, scenario.faults)
         self.token = scenario.sink.token
         self.sink = CloudSink(self.token)
-        self.sink.seed_policies(list(scenario.authz))
+        self.sink.seed_policies(scenario.authz)
         self._server: SinkServer | None = None
         if scenario.sink.mode == "socket":
             # The run drives the server's loop while it waits for each reply,
@@ -664,22 +618,17 @@ class Simulation:
             )
 
     def _schedule_faults(self) -> None:
-        for start, end in self.network.partitions:
-            self.clock.schedule_at(
-                start, lambda s=start: self.emit("partition_start", {})
-            )
-            if end <= self.scenario.duration_s:
-                self.clock.schedule_at(
-                    end, lambda e=end: self.emit("partition_end", {})
-                )
-        for outage in self.scenario.faults.sink_outages:
-            self.clock.schedule_at(
-                outage.start_s, lambda: self._set_sink(False)
-            )
-            if outage.end_s <= self.scenario.duration_s:
-                self.clock.schedule_at(
-                    outage.end_s, lambda: self._set_sink(True)
-                )
+        """Every partition, then every sink outage, each at its start and, if
+        the run reaches it, its end; this order is their tie order."""
+        faults, duration = self.scenario.faults, self.scenario.duration_s
+        for span in faults.partitions:
+            self.clock.schedule_at(span.start_s, lambda: self.emit("partition_start", {}))
+            if span.end_s <= duration:
+                self.clock.schedule_at(span.end_s, lambda: self.emit("partition_end", {}))
+        for span in faults.sink_outages:
+            self.clock.schedule_at(span.start_s, lambda: self._set_sink(False))
+            if span.end_s <= duration:
+                self.clock.schedule_at(span.end_s, lambda: self._set_sink(True))
 
     def _set_sink(self, available: bool) -> None:
         self.sink.available = available

@@ -90,22 +90,6 @@ class SheetTable:
         return row_index
 
 
-class AuthzTable:
-    """uid -> access policy map; one policy per card."""
-
-    def __init__(self) -> None:
-        self._entries: dict[Uid, AccessPolicy] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def set_policy(self, policy: AccessPolicy) -> None:
-        self._entries[policy.uid] = policy
-
-    def get(self, uid: Uid) -> AccessPolicy | None:
-        return self._entries.get(uid)
-
-
 class CloudSink:
     """In-process sink implementation; the socket server wraps this same
     object, so both bindings behave identically."""
@@ -113,13 +97,12 @@ class CloudSink:
     def __init__(self, token: str = DEFAULT_TOKEN) -> None:
         self._token = token
         self.table = SheetTable()
-        self.authz = AuthzTable()
+        self.authz: dict[Uid, AccessPolicy] = {}  # one policy per card
         self.available = True
 
-    def seed_policies(self, policies: list[AccessPolicy] | dict[Uid, AccessPolicy]) -> None:
-        values = policies.values() if isinstance(policies, dict) else policies
-        for policy in values:
-            self.authz.set_policy(policy)
+    def seed_policies(self, policies: Iterable[AccessPolicy]) -> None:
+        for policy in policies:
+            self.authz[policy.uid] = policy
 
     def _check(self, token: str) -> None:
         if token != self._token:

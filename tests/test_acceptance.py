@@ -276,8 +276,8 @@ def test_07_delivery_rate_model():
     attempts = 4
     clock = SimClock(Timestamp.from_iso8601("2024-01-15T00:00:00Z"))
     sink = CloudSink(TOKEN)
-    model = NetworkModel(latency_mean_s=0.2, latency_stddev_s=0.05,
-                         latency_floor_s=0.01, drop_prob=drop)
+    model = NetworkModel(NetworkConfig(latency_mean_s=0.2, latency_stddev_s=0.05,
+                                       latency_floor_s=0.01, drop_prob=drop))
     transport = SimTransport(clock, model, sink, TOKEN,
                              random.Random("delivery-rate"), timeout_s=1.0)
     delivered = []
@@ -319,8 +319,8 @@ def test_08_latency_composition():
     sink = CloudSink(TOKEN)
     uids = [f"{i:08X}" for i in range(n_pairs)]
     sink.seed_policies([always_open(u) for u in uids])
-    model = NetworkModel(latency_mean_s=1.2, latency_stddev_s=0.3,
-                         latency_floor_s=0.05)
+    model = NetworkModel(NetworkConfig(latency_mean_s=1.2, latency_stddev_s=0.3,
+                                       latency_floor_s=0.05))
     engine = AccessEngine(
         device_id=DeviceId("AC_001"),
         location="Main_Entrance",

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import edgegate
 from edgegate import sim
-from edgegate.cli import effective_token, main
+from edgegate.cli import TOKEN_ENV, effective_token, main
+from edgegate.core import Uid
 from edgegate.sink import DEFAULT_TOKEN
+from edgegate.wire import RemoteSink
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -199,6 +207,38 @@ class TestTokenOverride:
         assert effective_token("explicit") == "explicit"
         monkeypatch.delenv("EDGEGATE_SINK_TOKEN")
         assert effective_token(DEFAULT_TOKEN) == DEFAULT_TOKEN
+
+
+class TestServeSink:
+    def test_listening_line_reaches_a_pipe_before_the_server_blocks(self):
+        # Without a TTY, stdout is block-buffered unless PYTHONUNBUFFERED is
+        # set, so the child runs without it: a parent reading the pipe must
+        # get the line, and with it the port that --port 0 chose.
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", TOKEN_ENV)}
+        src = str(Path(edgegate.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "edgegate.cli", "serve-sink", "--port", "0",
+                   "--scenario", str(GOOD)]
+        with subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        ) as proc:
+            try:
+                ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+                assert ready, "no listening line within 10 s"
+                line = proc.stdout.readline()
+                assert line.startswith("sink listening on ")
+                host, port = line.split()[-1].rsplit(":", 1)
+                remote = RemoteSink(host, int(port))
+                try:
+                    policy = remote.query_policy(DEFAULT_TOKEN, Uid("A1B2C3D4"))
+                finally:
+                    remote.close()
+                assert policy is not None and policy.uid == Uid("A1B2C3D4")
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
 
 
 class TestScenarioErrors:

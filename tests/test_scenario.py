@@ -167,6 +167,11 @@ def test_independent_problems_are_each_reported():
         ((), "seed", 1.0, "seed: expected an integer, got 1.0"),
         (("devices", 0, "kalman"), "r", 0,
          "devices[0].kalman: measurement noise r must be > 0, got 0.0"),
+        (("network",), "drop_prob", 1.5, "network.drop_prob: 1.5 above maximum 1.0"),
+        (("network",), "latency_stddev_s", -0.1,
+         "network.latency_stddev_s: -0.1 below minimum 0.0"),
+        (("faults", "drop_windows", 0), "prob", 1.5,
+         "faults.drop_windows[0].prob: 1.5 above maximum 1.0"),
     ],
 )
 def test_values_out_of_bounds_or_of_the_wrong_type_are_rejected(steps, key, value, issue):
@@ -218,7 +223,10 @@ def test_cross_field_invariants_name_their_paths():
     del doc["authz"][1]
     partitions = parse_scenario(doc).faults.partitions
     assert [p.start_s for p in partitions] == [10.0, 50.0]
-
+    # Intervals are half-open, so touching ones do not overlap.
+    doc["faults"]["partitions"] = [{"start_s": 20, "end_s": 25}, {"start_s": 10, "end_s": 20}]
+    partitions = parse_scenario(doc).faults.partitions
+    assert [(p.start_s, p.end_s) for p in partitions] == [(10.0, 20.0), (20.0, 25.0)]
 
 
 @pytest.mark.parametrize("period", [0.0004, 0.001, 0.0015, 0.0019999])

@@ -16,6 +16,7 @@ from edgegate.core import DeviceId, Timestamp
 from edgegate.scenario import (
     ArrivalConfig,
     DeviceConfig,
+    DropWindow,
     FaultsConfig,
     FlowAnomalySpec,
     FlowWorkload,
@@ -28,15 +29,12 @@ from edgegate.scenario import (
 )
 from edgegate.sim import (
     NetworkModel,
-    OverlappingPartitionError,
     SimClock,
     SimCloudClient,
     SimError,
     SimTransport,
     Simulation,
-    inject_partition,
     run,
-    sample_latency,
     split_rng,
 )
 from edgegate.safety import SafetyMonitor
@@ -143,7 +141,7 @@ class TestSimClock:
 
     def test_timeout_after_an_ack_gives_no_second_outcome(self):
         clock = SimClock()
-        model = NetworkModel(latency_stddev_s=0.0)
+        model = NetworkModel(NetworkConfig(latency_stddev_s=0.0))
         transport = SimTransport(clock, model, CloudSink(), DEFAULT_TOKEN, random.Random(1))
         record = CloudRecord(DeviceId("AC_001"), clock.now_ts(), "status", {}, 0)
         outcomes = []
@@ -164,15 +162,15 @@ class TestSimClock:
 
 class TestNetworkModel:
     def test_degenerate_distribution(self):
-        model = NetworkModel(latency_mean_s=1.2, latency_stddev_s=0.0)
+        model = NetworkModel(NetworkConfig(latency_mean_s=1.2, latency_stddev_s=0.0))
         rng = random.Random(1)
         assert all(model.sample_latency(rng) == 1.2 for _ in range(100))
 
     def test_floor_truncation(self):
-        model = NetworkModel(latency_mean_s=0.05, latency_stddev_s=5.0,
-                             latency_floor_s=0.05)
+        model = NetworkModel(NetworkConfig(latency_mean_s=0.05, latency_stddev_s=5.0,
+                                           latency_floor_s=0.05))
         rng = random.Random(2)
-        assert all(sample_latency(model, rng) >= 0.05 for _ in range(10_000))
+        assert all(model.sample_latency(rng) >= 0.05 for _ in range(10_000))
 
     def test_large_sample_mean(self):
         model = NetworkModel()
@@ -182,34 +180,26 @@ class TestNetworkModel:
         assert abs(mean - 1.2) / 1.2 < 0.01
 
     def test_partition_membership_half_open(self):
-        model = NetworkModel(partitions=[(10.0, 20.0)])
+        model = NetworkModel(faults=FaultsConfig(partitions=(Partition(10.0, 20.0),)))
         assert not model.in_partition(9.999)
         assert model.in_partition(10.0)
         assert model.in_partition(19.999)
         assert not model.in_partition(20.0)
 
-    def test_overlap_rejected(self):
-        model = NetworkModel(partitions=[(10.0, 20.0)])
-        with pytest.raises(OverlappingPartitionError):
-            inject_partition(model, 15.0, 25.0)
-        with pytest.raises(SimError):
-            inject_partition(model, 30.0, 30.0)
-        inject_partition(model, 20.0, 25.0)  # touching is fine
-
-    def test_probability_validation(self):
-        with pytest.raises(SimError):
-            NetworkModel(drop_prob=1.5)
-        with pytest.raises(SimError):
-            NetworkModel(drop_windows=[(10.0, 5.0, 0.5)])
-
     def test_drop_schedule_overlays_base_probability(self):
-        model = NetworkModel(drop_prob=0.1, drop_windows=[(100.0, 200.0, 0.9)])
+        model = NetworkModel(
+            NetworkConfig(drop_prob=0.1),
+            FaultsConfig(drop_windows=(DropWindow(100.0, 200.0, 0.9),)),
+        )
         assert model.drop_probability(50.0) == 0.1
         assert model.drop_probability(150.0) == 0.9
         assert model.drop_probability(200.0) == 0.1
 
     def test_transit_draws_only_what_it_needs(self):
-        model = NetworkModel(partitions=[(10.0, 20.0)], drop_windows=[(30.0, 40.0, 1.0)])
+        model = NetworkModel(faults=FaultsConfig(
+            partitions=(Partition(10.0, 20.0),),
+            drop_windows=(DropWindow(30.0, 40.0, 1.0),),
+        ))
         rng, ref = random.Random(4), random.Random(4)
         assert model.transit(15.0, rng) is None  # partition: no draw
         assert model.transit(35.0, rng) is None  # drop: one draw
@@ -224,7 +214,7 @@ class TestStoppedSocketSink:
             address = server.address
         remote = RemoteSink(*address)
         clock = SimClock()
-        model = NetworkModel(latency_stddev_s=0.0)
+        model = NetworkModel(NetworkConfig(latency_stddev_s=0.0))
         events = []
         client = SyncClient(
             clock,
@@ -306,6 +296,29 @@ class TestScenarioRuns:
         assert report.counts["still_queued"] == 0
         assert report.counts["delivered"] == report.counts["enqueued"]
         assert report.counts["dead_lettered"] == 0
+
+    def test_fault_events_fire_in_time_then_registration_order(self):
+        # Partitions are listed out of order; the one still open at the end
+        # of the run gets no end event. At t=100 the partition, registered
+        # before the outage, fires first.
+        scenario = Scenario(
+            seed=1,
+            duration_s=300.0,
+            faults=FaultsConfig(
+                partitions=(Partition(250.0, 400.0), Partition(100.0, 200.0)),
+                sink_outages=(Partition(100.0, 150.0),),
+            ),
+        )
+        trace, _ = run(scenario)
+        assert [(e.kind, e.t) for e in trace.events] == [
+            ("sim_start", 0.0),
+            ("partition_start", 100.0),
+            ("sink_outage_start", 100.0),
+            ("sink_outage_end", 150.0),
+            ("partition_end", 200.0),
+            ("partition_start", 250.0),
+            ("sim_end", 300.0),
+        ]
 
     def test_sink_rows_match_delivery_order(self):
         scenario = scenario_base()
@@ -438,8 +451,6 @@ class TestSocketBinding:
 
 class TestDropSchedule:
     def test_total_drop_window_behaves_like_a_partition(self):
-        from edgegate.scenario import DropWindow
-
         scenario = scenario_base(
             duration_s=1200.0,
             faults=FaultsConfig(drop_windows=(DropWindow(100.0, 700.0, 1.0),)),

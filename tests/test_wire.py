@@ -10,6 +10,7 @@ import pytest
 from edgegate import codec
 from edgegate.codec import CloudRecord, ParseError, UnknownEventTypeError
 from edgegate.core import DeviceId, Timestamp, Uid
+from edgegate.scenario import NetworkConfig
 from edgegate.sim import NetworkModel, SimClock, SimTransport
 from edgegate.sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableError
 from edgegate.sync import SyncClient
@@ -275,7 +276,11 @@ class TestCloseAfterAppend:
         client = SyncClient(
             clock=clock,
             transport=SimTransport(
-                clock, NetworkModel(latency_stddev_s=0.0), remote, TOKEN, random.Random(1)
+                clock,
+                NetworkModel(NetworkConfig(latency_stddev_s=0.0)),
+                remote,
+                TOKEN,
+                random.Random(1),
             ),
             on_event=lambda kind, data: events.append((kind, data)),
         )
