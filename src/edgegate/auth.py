@@ -21,7 +21,9 @@ from enum import Enum
 from typing import Callable, Protocol
 
 from .codec import CloudRecord
-from .core import AccessPolicy, DeviceId, Timestamp, Uid, discard, seconds_of_day, weekday_of
+from .core import (
+    AccessPolicy, DeviceId, Timestamp, Uid, bounded, discard, seconds_of_day, weekday_of
+)
 from .sync import SchedulerPort
 
 
@@ -62,30 +64,13 @@ class AuthConfig:
     """Engine timing and gate geometry. Defaults follow the deployed setup:
     5s entry window, 5s cloud deadline, day-long cache TTL."""
 
-    t_entry_s: float = 5.0
-    t_timeout_ms: float = 5000.0
-    cache_ttl_s: float = 86400.0
-    open_angle_deg: int = 90
-    closed_angle_deg: int = 0
+    t_entry_s: float = bounded(5.0, gt=0.0)
+    t_timeout_ms: float = bounded(5000.0, gt=0.0)
+    cache_ttl_s: float = bounded(86400.0, gt=0.0)
+    open_angle_deg: int = bounded(90, lo=0, hi=180)
+    closed_angle_deg: int = bounded(0, lo=0, hi=180)
     fallback_mode: FallbackMode = FallbackMode.DENY
-    cache_capacity: int = 256
-
-    def __post_init__(self) -> None:
-        for name, v in (
-            ("t_entry_s", self.t_entry_s),
-            ("t_timeout_ms", self.t_timeout_ms),
-            ("cache_ttl_s", self.cache_ttl_s),
-        ):
-            if v <= 0:
-                raise AuthError(f"{name} must be > 0, got {v}")
-        if self.cache_capacity < 1:
-            raise AuthError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
-        for name, angle in (
-            ("open_angle_deg", self.open_angle_deg),
-            ("closed_angle_deg", self.closed_angle_deg),
-        ):
-            if not 0 <= angle <= 180:
-                raise AuthError(f"{name} must be in [0, 180], got {angle}")
+    cache_capacity: int = bounded(256, lo=1)
 
 
 @dataclass(frozen=True)
@@ -128,8 +113,6 @@ class PolicyCache:
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise AuthError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: OrderedDict[Uid, CacheEntry] = OrderedDict()
         self._stale: OrderedDict[Uid, CacheEntry] = OrderedDict()

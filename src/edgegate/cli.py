@@ -1,14 +1,13 @@
 """Command-line entry point: run scenarios, replay traces, validate configs,
 serve the mock sink, and export sink snapshots to CSV.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 bad configuration or input, 2 runtime or output failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -78,6 +77,19 @@ def _load(path: str) -> Scenario | None:
     return None
 
 
+def _write_out(out: str | None, payload: bytes) -> int:
+    """Write ``payload`` to the file ``out``, or to stdout when there is none."""
+    try:
+        if out:
+            Path(out).write_bytes(payload)
+        else:
+            sys.stdout.write(payload.decode("utf-8"))
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
@@ -89,20 +101,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sink=dataclasses.replace(scenario.sink, token=effective_token(scenario.sink.token)),
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # The trace streams into a side file that becomes trace.jsonl only once
     # the run has finished, so a failed run leaves no partial trace.
     partial = out_dir / "trace.jsonl.part"
+    failure = "cannot write output"  # what an exception means at this step
     try:
-        simulation = sim.Simulation(scenario)
+        out_dir.mkdir(parents=True, exist_ok=True)
         with open(partial, "w", encoding="utf-8", newline="") as fh:
+            failure = "run failed"
+            simulation = sim.Simulation(scenario)
             _, report = simulation.run(writer=fh.write)
+            report_json = report.to_json()
+            sink_json = state_to_json(simulation.sink.state_dict())
+        failure = "cannot write output"
         os.replace(partial, out_dir / "trace.jsonl")
-        (out_dir / "report.json").write_bytes(report.to_json())
-        (out_dir / "sink.json").write_bytes(state_to_json(simulation.sink.state_dict()))
-    except Exception as exc:  # noqa: BLE001 - surface any runtime failure as exit 2
-        partial.unlink(missing_ok=True)
-        print(f"run failed: {exc}", file=sys.stderr)
+        (out_dir / "report.json").write_bytes(report_json)
+        (out_dir / "sink.json").write_bytes(sink_json)
+    except Exception as exc:  # noqa: BLE001 - surface any failure as exit 2
+        if out_dir.is_dir():  # else mkdir failed, and there is no partial trace
+            partial.unlink(missing_ok=True)
+        print(f"{failure}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(metrics_mod.render_report(report, "text").decode("utf-8"))
     print(f"wrote {out_dir / 'trace.jsonl'}, {out_dir / 'report.json'}, {out_dir / 'sink.json'}")
@@ -119,12 +137,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"replay failed: {exc}", file=sys.stderr)
         return 2
-    payload = report.to_json()
-    if args.out:
-        Path(args.out).write_bytes(payload)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-    return 0
+    return _write_out(args.out, report.to_json())
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -160,19 +173,14 @@ def _cmd_serve_sink(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     try:
         state = parse_json(Path(args.sink_state).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        payload = state_to_csv(state)
+    except (OSError, ValueError, RecursionError) as exc:  # an unreadable file or row
         print(f"cannot read sink state: {exc}", file=sys.stderr)
         return 1
-    try:
-        payload = state_to_csv(state)
     except Exception as exc:  # noqa: BLE001
         print(f"export failed: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_bytes(payload)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-    return 0
+    return _write_out(args.out, payload)
 
 
 def main(argv: list[str] | None = None) -> int:

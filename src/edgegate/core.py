@@ -1,5 +1,5 @@
 """Shared vocabulary types: timestamps, weekdays, card and device identity,
-and per-card access policies.
+and per-card access policies; and ``bounded``, the config numbers' bounds.
 
 All calendar math is UTC. Timestamps carry millisecond precision but
 serialize at whole-second precision (ISO-8601 with Z suffix), matching the
@@ -11,7 +11,7 @@ clock.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from datetime import date
 from enum import IntEnum
 from functools import lru_cache
@@ -24,6 +24,12 @@ SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 _ISO_RE = re.compile(r"(\d{4}-\d\d-\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 _UID_RE = re.compile(r"^[0-9A-F]{8}$")
 _DEVICE_ID_RE = re.compile(r"^[A-Za-z]+_[0-9]+$")
+
+
+def bounded(default=MISSING, *, lo=None, hi=None, gt=None):
+    """A config number that lies in ``[lo, hi]`` and above ``gt``: field
+    metadata that the scenario reader checks, and construction does not."""
+    return field(default=default, metadata={"bounds": (lo, hi, gt)})
 
 
 class CoreError(ValueError):

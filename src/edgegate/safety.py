@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .codec import CloudRecord, DataValue
-from .core import DeviceId, Timestamp, Uid, discard
+from .core import DeviceId, Timestamp, Uid, bounded, discard
 
 WINDOW_SIZE = 30
 SIGMA_MULTIPLE = 3.0
@@ -64,17 +64,10 @@ class FlameSample:
 class FlameParams:
     """Weights of the adaptive flame cutoff. Defaults are the deployed values."""
 
-    t_base: float = 800.0
-    alpha: float = 0.7
-    beta: float = 0.2
-    gamma: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.t_base <= 0:
-            raise SafetyError(f"t_base must be > 0, got {self.t_base}")
-        for name, v in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if v < 0:
-                raise SafetyError(f"{name} must be >= 0, got {v}")
+    t_base: float = bounded(800.0, gt=0.0)
+    alpha: float = bounded(0.7, lo=0.0)
+    beta: float = bounded(0.2, lo=0.0)
+    gamma: float = bounded(0.1, lo=0.0)
 
     def cutoff(self, slope: float, ambient: float) -> float:
         """``alpha*t_base + beta*slope + gamma*ambient``."""
@@ -235,13 +228,21 @@ def steady_state_variance(q: float, r: float) -> float:
     return (-q + math.sqrt(q * q + 4.0 * q * r)) / 2.0
 
 
+@dataclass(frozen=True)
+class KalmanConfig:
+    """Flame intensity smoothing filter: process and measurement noise variance."""
+
+    q: float = bounded(0.01, lo=0.0)
+    r: float = bounded(1.0, gt=0.0)
+
+
 class KalmanFilter:
     """Stateful form of :func:`kalman_update`, on plain floats: the same
-    arithmetic and checks without a :class:`KalmanState` per update."""
+    arithmetic and variance check without a :class:`KalmanState` per update."""
 
-    def __init__(self, q: float = 0.01, r: float = 1.0) -> None:
-        self._q = q
-        self._r = r
+    def __init__(self, config: KalmanConfig = KalmanConfig()) -> None:
+        self._q = config.q
+        self._r = config.r
         self._estimate = 0.0
         self._variance: float | None = None  # None until the first measurement
 
@@ -253,10 +254,7 @@ class KalmanFilter:
 
     def update(self, z: float) -> float:
         variance = self._variance
-        if variance is None:
-            # Seed the estimate from the first measurement; KalmanState
-            # checks q and r.
-            KalmanState(estimate=z, variance=_INITIAL_VARIANCE, q=self._q, r=self._r)
+        if variance is None:  # seed the estimate from the first measurement
             self._estimate, self._variance = z, _INITIAL_VARIANCE
             return z
         variance_pred = variance + self._q
@@ -289,20 +287,19 @@ class SafetyMonitor:
         self,
         device_id: DeviceId,
         location: str,
-        params: FlameParams | None = None,
-        kalman_q: float = 0.01,
-        kalman_r: float = 1.0,
+        params: FlameParams = FlameParams(),
+        kalman: KalmanConfig = KalmanConfig(),
         personnel_context_s: float = 60.0,
         record_out: Callable[[CloudRecord], None] = discard,
         event_out: Callable[[str, dict], None] = discard,
     ) -> None:
         self.device_id = device_id
         self.location = location
-        self.params = params or FlameParams()
+        self.params = params
         # Flame channel: the filter, the previous filtered intensity (None
         # before the first reading) with its stamp in whole seconds and
         # millis, and the rising-edge state.
-        self._filter = KalmanFilter(q=kalman_q, r=kalman_r)
+        self._filter = KalmanFilter(kalman)
         self._prev_intensity: float | None = None
         self._prev_seconds = 0
         self._prev_millis = 0

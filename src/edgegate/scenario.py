@@ -1,15 +1,16 @@
 """Scenario files: seeded, human-editable descriptions of devices, workload,
 authorization seeds and fault schedules for the simulator.
 
-The dataclasses below are the scenario schema. Each YAML mapping is read
-into one of them: every key is a field, the field's default is the key's
-default, and a number's bounds are declared next to its field. Invariants
-that span fields (intervals, disjoint faults, unique ids) live in the types'
-own ``__post_init__`` and are checked once a mapping's fields have parsed.
-One reader walks the fields and reports, each with its field path, every
-unknown key at any level, every missing required key, every value of the
-wrong type or out of bounds, and every broken invariant, together rather
-than one at a time. An empty document is a valid (if inert) scenario.
+The dataclasses here and the configs they take from ``auth``, ``safety`` and
+``sync`` are the scenario schema: each YAML key is a field, with the field's
+default. A number's bounds are declared on its field with ``core.bounded``,
+and only this reader checks them. Invariants that span fields (intervals,
+disjoint faults, unique ids) live in the types' own ``__post_init__`` and are
+checked once a mapping's fields have parsed. One reader walks the fields and
+reports, each with its field path, every unknown key at any level, every
+missing required key, every value of the wrong type or out of bounds, and
+every broken invariant, together rather than one at a time. An empty
+document is a valid (if inert) scenario.
 
 An ``authz[]`` item is read through ``_PolicyKeys`` before it becomes an
 ``AccessPolicy``, because its time-of-day and weekday syntax, and its
@@ -28,7 +29,7 @@ from typing import Callable, Literal
 
 import yaml
 
-from .auth import AuthConfig, AuthError
+from .auth import AuthConfig
 from .core import (
     ALL_DAYS,
     SECONDS_PER_DAY,
@@ -37,10 +38,11 @@ from .core import (
     Timestamp,
     Uid,
     Weekday,
+    bounded,
 )
-from .safety import FlameParams, SafetyError
+from .safety import FlameParams, KalmanConfig
 from .sink import DEFAULT_TOKEN
-from .sync import OverflowPolicy, RetryPolicy, SyncError
+from .sync import OutboxConfig, RetryPolicy, SyncError
 
 
 class ConfigError(ValueError):
@@ -51,28 +53,23 @@ class ConfigError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {i}" for i in issues))
 
 
-def _bounded(default=dataclasses.MISSING, *, lo=None, hi=None):
-    """A numeric field whose scenario value must lie in ``[lo, hi]``."""
-    return field(default=default, metadata={"bounds": (lo, hi)})
-
-
 @dataclass(frozen=True)
 class ArrivalConfig:
     """Card-presentation process for access devices."""
 
     process: Literal["poisson", "uniform"] = "poisson"  # uniform: evenly spaced at 1/rate
-    rate_per_s: float = _bounded(0.0, lo=0.0)
-    authorized_fraction: float = _bounded(1.0, lo=0.0, hi=1.0)
-    malformed_fraction: float = _bounded(0.0, lo=0.0, hi=1.0)
-    misread_false_accept: float = _bounded(0.0, lo=0.0, hi=1.0)
-    misread_false_reject: float = _bounded(0.0, lo=0.0, hi=1.0)
+    rate_per_s: float = bounded(0.0, lo=0.0)
+    authorized_fraction: float = bounded(1.0, lo=0.0, hi=1.0)
+    malformed_fraction: float = bounded(0.0, lo=0.0, hi=1.0)
+    misread_false_accept: float = bounded(0.0, lo=0.0, hi=1.0)
+    misread_false_reject: float = bounded(0.0, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
 class FlameEpisode:
-    start_s: float = _bounded(lo=0.0)
-    duration_s: float = _bounded(lo=0.0)
-    peak: float = _bounded(1500.0, lo=0.0)
+    start_s: float = bounded(lo=0.0)
+    duration_s: float = bounded(lo=0.0)
+    peak: float = bounded(1500.0, lo=0.0)
 
 
 # Shortest flame sample period; shorter ones can give two samples one stamp.
@@ -81,11 +78,11 @@ MIN_FLAME_PERIOD_S = 0.002
 
 @dataclass(frozen=True)
 class FlameWorkload:
-    sample_period_s: float = _bounded(0.0, lo=0.0)  # 0 disables the channel
-    baseline: float = _bounded(300.0, lo=0.0)
-    noise_stddev: float = _bounded(8.0, lo=0.0)
-    ambient_base: float = _bounded(120.0, lo=0.0)
-    ambient_noise_stddev: float = _bounded(4.0, lo=0.0)
+    sample_period_s: float = bounded(0.0, lo=0.0)  # 0 disables the channel
+    baseline: float = bounded(300.0, lo=0.0)
+    noise_stddev: float = bounded(8.0, lo=0.0)
+    ambient_base: float = bounded(120.0, lo=0.0)
+    ambient_noise_stddev: float = bounded(4.0, lo=0.0)
     episodes: tuple[FlameEpisode, ...] = ()
 
     def __post_init__(self) -> None:
@@ -103,15 +100,15 @@ class FlameWorkload:
 
 @dataclass(frozen=True)
 class FlowAnomalySpec:
-    at_s: float = _bounded(lo=0.0)
+    at_s: float = bounded(lo=0.0)
     magnitude_lpm: float
 
 
 @dataclass(frozen=True)
 class FlowWorkload:
-    sample_period_s: float = _bounded(0.0, lo=0.0)  # 0 disables the channel
-    baseline_lpm: float = _bounded(10.0, lo=0.0)
-    noise_stddev: float = _bounded(0.4, lo=0.0)
+    sample_period_s: float = bounded(0.0, lo=0.0)  # 0 disables the channel
+    baseline_lpm: float = bounded(10.0, lo=0.0)
+    noise_stddev: float = bounded(0.4, lo=0.0)
     anomalies: tuple[FlowAnomalySpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -137,7 +134,7 @@ class FlowWorkload:
 
 @dataclass(frozen=True)
 class PersonnelScanSpec:
-    at_s: float = _bounded(lo=0.0)
+    at_s: float = bounded(lo=0.0)
     uid: Uid
 
 
@@ -150,24 +147,6 @@ class WorkloadConfig:
 
 
 @dataclass(frozen=True)
-class OutboxConfig:
-    capacity: int = _bounded(100_000, lo=1)
-    overflow: OverflowPolicy = OverflowPolicy.REJECT_NEW
-
-
-@dataclass(frozen=True)
-class KalmanConfig:
-    """Flame intensity smoothing filter: process and measurement noise variance."""
-
-    q: float = _bounded(0.01, lo=0.0)
-    r: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise SafetyError(f"measurement noise r must be > 0, got {self.r}")
-
-
-@dataclass(frozen=True)
 class DeviceConfig:
     device_id: DeviceId
     role: Literal["access", "safety"]
@@ -175,27 +154,27 @@ class DeviceConfig:
     auth: AuthConfig = field(default_factory=AuthConfig)
     flame_params: FlameParams = field(default_factory=FlameParams)
     kalman: KalmanConfig = field(default_factory=KalmanConfig)
-    status_period_s: float = _bounded(0.0, lo=0.0)
+    status_period_s: float = bounded(0.0, lo=0.0)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     outbox: OutboxConfig = field(default_factory=OutboxConfig)
-    send_timeout_s: float = _bounded(5.0, lo=0.001)
+    send_timeout_s: float = bounded(5.0, lo=0.001)
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    latency_mean_s: float = _bounded(1.2, lo=0.0)
-    latency_stddev_s: float = _bounded(0.3, lo=0.0)
-    latency_floor_s: float = _bounded(0.05, lo=0.0)
-    drop_prob: float = _bounded(0.0, lo=0.0, hi=1.0)
-    ack_drop_prob: float = _bounded(0.0, lo=0.0, hi=1.0)
+    latency_mean_s: float = bounded(1.2, lo=0.0)
+    latency_stddev_s: float = bounded(0.3, lo=0.0)
+    latency_floor_s: float = bounded(0.05, lo=0.0)
+    drop_prob: float = bounded(0.0, lo=0.0, hi=1.0)
+    ack_drop_prob: float = bounded(0.0, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
 class Partition:
     """An interval ``[start_s, end_s)`` of simulated time."""
 
-    start_s: float = _bounded(lo=0.0)
-    end_s: float = _bounded(lo=0.0)
+    start_s: float = bounded(lo=0.0)
+    end_s: float = bounded(lo=0.0)
 
     def __post_init__(self) -> None:
         if self.end_s <= self.start_s:
@@ -204,7 +183,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class DropWindow(Partition):
-    prob: float = _bounded(1.0, lo=0.0, hi=1.0)
+    prob: float = bounded(1.0, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
@@ -238,7 +217,7 @@ class SinkConfig:
 class Scenario:
     seed: int = 0
     start_time: Timestamp = Timestamp.from_iso8601("2024-01-15T00:00:00Z")
-    duration_s: float = _bounded(3600.0, lo=0.0)
+    duration_s: float = bounded(3600.0, lo=0.0)
     devices: tuple[DeviceConfig, ...] = ()
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     authz: tuple[AccessPolicy, ...] = ()
@@ -268,7 +247,7 @@ class Scenario:
 # problem inside it. An issue's path is relative to the value that raised it;
 # ": ..." is about the value itself.
 
-_INVALID = (ValueError, AuthError, SyncError)
+_INVALID = (ValueError, SyncError)
 
 
 def _nest(path: str, exc: Exception) -> list[str]:
@@ -313,7 +292,7 @@ def _read_items(item: Callable, value) -> tuple:
 
 @functools.cache
 def _schema(cls: type) -> dict[str, tuple]:
-    """Reader, whether required, and (lo, hi) bounds of each key of ``cls``."""
+    """Reader, whether required, and (lo, hi, gt) bounds of each key of ``cls``."""
     fields = dataclasses.fields(cls)
     hints = {f.name: f.type for f in fields}
     if any(isinstance(tp, str) for tp in hints.values()):
@@ -325,7 +304,7 @@ def _schema(cls: type) -> dict[str, tuple]:
         f.name: (
             _reader(hints[f.name]),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            f.metadata.get("bounds", (None, None)),
+            f.metadata.get("bounds", (None, None, None)),
         )
         for f in fields
     }
@@ -340,17 +319,20 @@ def _read_fields(cls: type, obj):
     schema = _schema(cls)
     issues = [f": unknown key {key!r}" for key in obj if key not in schema]
     kwargs = {}
-    for name, (read, required, (lo, hi)) in schema.items():
+    for name, (read, required, (lo, hi, gt)) in schema.items():
         if name not in obj:
             if required:
                 issues.append(f"{name}: required")
             continue
         try:
             value = read(obj[name])
-            if lo is not None and value < lo:
-                raise ValueError(f"{value} below minimum {lo}")
-            if hi is not None and value > hi:
-                raise ValueError(f"{value} above maximum {hi}")
+            if value is not None:
+                if lo is not None and value < lo:
+                    raise ValueError(f"{value} below minimum {lo}")
+                if hi is not None and value > hi:
+                    raise ValueError(f"{value} above maximum {hi}")
+                if gt is not None and value <= gt:
+                    raise ValueError(f"{value} must be above {gt}")
         except _INVALID as exc:
             issues += _nest(name, exc)
         else:
@@ -391,15 +373,13 @@ _Weekdays = typing.NewType("_Weekdays", frozenset)
 @dataclass(frozen=True)
 class _PolicyKeys:
     uid: Uid
-    window_start: _TimeOfDay = 0
-    window_end: _TimeOfDay = SECONDS_PER_DAY - 1
+    window_start: _TimeOfDay = bounded(0, lo=0, hi=SECONDS_PER_DAY - 1)
+    window_end: _TimeOfDay = bounded(SECONDS_PER_DAY - 1, lo=0, hi=SECONDS_PER_DAY - 1)
     allowed_days: _Weekdays = ALL_DAYS
 
 
 def _time_of_day(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
-        if not 0 <= value < SECONDS_PER_DAY:
-            raise ValueError(f"{value} out of range [0, 86400)")
         return value
     if isinstance(value, str):
         parts = value.split(":")

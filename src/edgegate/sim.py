@@ -453,7 +453,7 @@ class _Device:
                 timeout_s=cfg.send_timeout_s,
             ),
             policy=cfg.retry,
-            queue=OutboxQueue(cfg.outbox.capacity, cfg.outbox.overflow),
+            queue=OutboxQueue(cfg.outbox),
             on_event=self.emit,
         )
         if cfg.role == "access":
@@ -477,8 +477,7 @@ class _Device:
                 device_id=cfg.device_id,
                 location=cfg.location,
                 params=cfg.flame_params,
-                kalman_q=cfg.kalman.q,
-                kalman_r=cfg.kalman.r,
+                kalman=cfg.kalman,
                 record_out=self.client.enqueue,
                 event_out=self.emit,
             )

@@ -231,12 +231,18 @@ def _json_scalar(value: DataValue) -> str:
 
 
 def state_to_csv(state: dict) -> bytes:
-    """CSV export from a saved sink snapshot (the ``state_dict`` shape): one
-    line per snapshot row, with its own ``row_index``. A key on two rows
-    raises ``SinkError`` naming both, as no row is left out silently."""
+    """CSV export from a saved sink snapshot (the ``state_dict`` shape, else
+    ``ValueError``): one line per row, with its own ``row_index``. A key on two
+    rows raises ``SinkError`` naming both, as no row is left out silently."""
+    snapshot_rows = state.get("rows", []) if isinstance(state, dict) else None
+    if not isinstance(snapshot_rows, list):
+        raise ValueError("expected an object with a list of rows")
     rows: list[SheetRow] = []
     seen: dict[str, int] = {}
-    for row in state.get("rows", []):
+    for n, row in enumerate(snapshot_rows):
+        for name in ("row_index", "received_at", "record"):
+            if not isinstance(row, dict) or name not in row:
+                raise ValueError(f"row {n}: missing {name!r}")
         record = codec.decode(json.dumps(row["record"]).encode("utf-8"))
         row_index = row["row_index"]
         key = codec.idempotency_key(record)

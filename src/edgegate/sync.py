@@ -18,7 +18,7 @@ from typing import Callable, Protocol
 
 from . import codec
 from .codec import CloudRecord
-from .core import Timestamp, discard
+from .core import Timestamp, bounded, discard
 
 
 class SyncError(Exception):
@@ -37,17 +37,13 @@ class QueueFullError(SyncError):
 class RetryPolicy:
     """Exponential backoff parameters; ``max_attempts=None`` retries forever."""
 
-    t_base_s: float = 1.0
-    t_max_s: float = 60.0
-    max_attempts: int | None = None
+    t_base_s: float = bounded(1.0, gt=0.0)
+    t_max_s: float = 60.0  # bounded below by t_base_s
+    max_attempts: int | None = bounded(None, lo=1)
 
     def __post_init__(self) -> None:
-        if self.t_base_s <= 0:
-            raise SyncError(f"t_base_s must be > 0, got {self.t_base_s}")
         if self.t_max_s < self.t_base_s:
             raise SyncError(f"t_max_s must be >= t_base_s, got {self.t_max_s}")
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise SyncError(f"max_attempts must be >= 1 or None, got {self.max_attempts}")
 
 
 def backoff_delay(attempt: int, policy: RetryPolicy) -> float:
@@ -97,6 +93,12 @@ class OverflowPolicy(str, Enum):
     DROP_OLDEST = "drop_oldest"
 
 
+@dataclass(frozen=True)
+class OutboxConfig:
+    capacity: int = bounded(100_000, lo=1)
+    overflow: OverflowPolicy = OverflowPolicy.REJECT_NEW
+
+
 @dataclass
 class OutboxEntry:
     """A queued record with its wire bytes, encoded once when it is queued
@@ -115,15 +117,9 @@ class OutboxQueue:
     """Bounded FIFO of unsent records. Capacity is sized for a full day or
     more of peak event rate; overflow behavior is explicit and counted."""
 
-    def __init__(
-        self, capacity: int = 100_000, overflow: str = OverflowPolicy.REJECT_NEW
-    ) -> None:
-        if capacity < 1:
-            raise SyncError(f"capacity must be >= 1, got {capacity}")
-        if overflow not in (OverflowPolicy.REJECT_NEW, OverflowPolicy.DROP_OLDEST):
-            raise SyncError(f"unknown overflow policy: {overflow!r}")
-        self.capacity = capacity
-        self.overflow = overflow
+    def __init__(self, config: OutboxConfig = OutboxConfig()) -> None:
+        self.capacity = config.capacity
+        self.overflow = config.overflow
         self._entries: deque[OutboxEntry] = deque()
         self.dropped = 0
 

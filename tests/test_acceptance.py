@@ -52,7 +52,7 @@ from edgegate.scenario import (
 )
 from edgegate.sim import NetworkModel, SimClock, SimCloudClient, SimTransport, Simulation, run
 from edgegate.sink import CloudSink, StaleRecordError
-from edgegate.sync import OutboxQueue, RetryPolicy, SyncClient, backoff_delay
+from edgegate.sync import OutboxConfig, OutboxQueue, RetryPolicy, SyncClient, backoff_delay
 from edgegate.trace import EventTrace, GroundTruth
 
 from helpers import decide, drain
@@ -290,7 +290,7 @@ def test_07_delivery_rate_model():
         clock=clock,
         transport=transport,
         policy=RetryPolicy(t_base_s=1.0, t_max_s=60.0, max_attempts=attempts),
-        queue=OutboxQueue(capacity=n + 1),
+        queue=OutboxQueue(OutboxConfig(capacity=n + 1)),
         on_event=on_event,
     )
     device = DeviceId("AC_001")

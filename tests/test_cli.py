@@ -154,6 +154,16 @@ class TestReplay:
         assert capsys.readouterr().err.startswith("cannot read trace: line 3: ")
 
 
+def without_record(state: dict) -> dict:
+    del state["rows"][2]["record"]
+    return state
+
+
+def with_bad_event_type(state: dict) -> dict:
+    state["rows"][2]["record"]["event_type"] = "bogus"
+    return state
+
+
 class TestExport:
     def test_csv_from_sink_state(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -198,6 +208,58 @@ class TestExport:
         assert captured.err == (
             f"export failed: key {key} is on two rows: row_index 1 and 3\n"
         )
+
+    @pytest.mark.parametrize(
+        "reshape, err",
+        [
+            (lambda state: state["rows"], "expected an object with a list of rows"),
+            (lambda state: {"rows": {"0": state["rows"][0]}},
+             "expected an object with a list of rows"),
+            (lambda state: {"rows": state["rows"][:2] + [[]]}, "row 2: missing 'row_index'"),
+            (without_record, "row 2: missing 'record'"),
+            (with_bad_event_type, "unknown event_type: 'bogus'"),
+        ],
+        ids=["list_top_level", "rows_not_a_list", "row_not_an_object", "row_without_record",
+             "bad_event_type"],
+    )
+    def test_malformed_snapshot_exits_one(self, tmp_path, capsys, reshape, err):
+        out = tmp_path / "out"
+        main(["run", str(GOOD), "--out", str(out)])
+        state = json.loads((out / "sink.json").read_text())
+        path = tmp_path / "sink.json"
+        path.write_text(json.dumps(reshape(state)))
+        capsys.readouterr()
+        assert main(["export", str(path), "--csv"]) == 1
+        assert capsys.readouterr() == ("", f"cannot read sink state: {err}\n")
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 with one line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "replay", "export"])
+    def test_out_under_a_file_exits_two(self, tmp_path, capsys, command):
+        made = tmp_path / "made"
+        assert main(["run", str(GOOD), "--out", str(made)]) == 0
+        blocker = tmp_path / "notadir"
+        blocker.write_text("a file\n")
+        args = {
+            "run": ["run", str(GOOD), "--out", str(blocker)],
+            "replay": ["replay", str(made / "trace.jsonl"), "--out", str(blocker / "x.json")],
+            "export": ["export", str(made / "sink.json"), "--out", str(blocker / "x.csv")],
+        }[command]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert blocker.read_text() == "a file\n"
+        assert list(tmp_path.rglob("*.part")) == []
+
+    def test_unwritable_output_file_leaves_no_partial_trace(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "sink.json").mkdir(parents=True)
+        assert main(["run", str(GOOD), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert not (out / "trace.jsonl.part").exists()
 
 
 class TestTokenOverride:
@@ -266,7 +328,7 @@ class TestScenarioErrors:
         )
         args = [command, path] + (["--out", str(tmp_path / "o")] if command == "run" else [])
         assert main(args) == 1
-        assert "devices[0].kalman: measurement noise r must be > 0" in capsys.readouterr().err
+        assert "devices[0].kalman.r: 0.0 must be above 0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, issue",

@@ -10,6 +10,7 @@ from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.safety import (
     FlameParams,
     FlameSample,
+    KalmanConfig,
     KalmanFilter,
     KalmanState,
     MissingFieldError,
@@ -284,7 +285,7 @@ class TestKalman:
             assert state.variance > 0
 
     def test_filter_wrapper_seeds_from_first_sample(self):
-        f = KalmanFilter(q=0.01, r=1.0)
+        f = KalmanFilter(KalmanConfig(q=0.01, r=1.0))
         assert f.update(100.0) == 100.0
         assert 100.0 < f.update(110.0) < 110.0
 
@@ -294,7 +295,7 @@ class TestKalman:
         zs=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=30),
     )
     def test_filter_is_kalman_update_chained(self, q, r, zs):
-        f = KalmanFilter(q=q, r=r)
+        f = KalmanFilter(KalmanConfig(q=q, r=r))
         assert f.state is None
         assert f.update(zs[0]) == zs[0]
         state = KalmanState(estimate=zs[0], variance=1.0, q=q, r=r)
@@ -349,7 +350,7 @@ class TestSafetyMonitor:
         return monitor, records
 
     def test_flame_rising_edge_emits_once(self):
-        monitor, records = self.make(kalman_q=100.0, kalman_r=0.01)  # near pass-through
+        monitor, records = self.make(kalman=KalmanConfig(q=100.0, r=0.01))  # near pass-through
         t = T0
         for _ in range(5):
             monitor.on_flame_sample(300.0, 0.0, t)
@@ -401,7 +402,7 @@ class TestSafetyMonitor:
         assert [r.seq for r in records] == [0, 1]
 
     def test_sequence_numbers_are_drawn_when_a_hit_is_reported(self):
-        monitor, records = self.make(kalman_q=100.0, kalman_r=0.01)
+        monitor, records = self.make(kalman=KalmanConfig(q=100.0, r=0.01))
         assert monitor.flame_step(300.0, 0.0, T0.seconds_utc, 0) is None
         hit = monitor.flame_step(1500.0, 0.0, T0.seconds_utc + 1, 0)
         assert hit is not None and records == []
@@ -443,8 +444,8 @@ class TestSafetyMonitor:
         """The step's hit and threshold equal, bit for bit, those of
         kalman_update, flame_threshold and detect_flame on FlameSamples."""
         params = FlameParams()
-        monitor, _ = self.make(params=params, kalman_q=q, kalman_r=0.01)
-        kalman = KalmanFilter(q=q, r=0.01)
+        monitor, _ = self.make(params=params, kalman=KalmanConfig(q=q, r=0.01))
+        kalman = KalmanFilter(KalmanConfig(q=q, r=0.01))
         prev = None
         burning = False
         at_ms = T0.seconds_utc * 1000 + start_millis

@@ -3,6 +3,9 @@ dataclasses, and every problem is reported with its field path."""
 
 from __future__ import annotations
 
+import dataclasses
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -160,24 +163,97 @@ def test_independent_problems_are_each_reported():
         (("network",), "ack_drop_prob", 1.5, "network.ack_drop_prob: 1.5 above maximum 1.0"),
         (("devices", 0), "send_timeout_s", 0, "devices[0].send_timeout_s: 0.0 below minimum 0.001"),
         (("devices", 0, "auth"), "open_angle_deg", 181,
-         "devices[0].auth: open_angle_deg must be in [0, 180], got 181"),
+         "devices[0].auth.open_angle_deg: 181 above maximum 180"),
         (("devices", 0, "outbox"), "capacity", 0, "devices[0].outbox.capacity: 0 below minimum 1"),
         (("devices", 0, "outbox"), "capacity", 10.5,
          "devices[0].outbox.capacity: expected an integer, got 10.5"),
         ((), "seed", 1.0, "seed: expected an integer, got 1.0"),
-        (("devices", 0, "kalman"), "r", 0,
-         "devices[0].kalman: measurement noise r must be > 0, got 0.0"),
+        (("devices", 0, "kalman"), "r", 0, "devices[0].kalman.r: 0.0 must be above 0.0"),
         (("network",), "drop_prob", 1.5, "network.drop_prob: 1.5 above maximum 1.0"),
         (("network",), "latency_stddev_s", -0.1,
          "network.latency_stddev_s: -0.1 below minimum 0.0"),
         (("faults", "drop_windows", 0), "prob", 1.5,
          "faults.drop_windows[0].prob: 1.5 above maximum 1.0"),
+        (("devices", 0, "retry"), "t_base_s", 0, "devices[0].retry.t_base_s: 0.0 must be above 0.0"),
+        (("devices", 0, "retry"), "max_attempts", 0,
+         "devices[0].retry.max_attempts: 0 below minimum 1"),
+        (("authz", 0), "window_end", 86400, "authz[0].window_end: 86400 above maximum 86399"),
     ],
 )
 def test_values_out_of_bounds_or_of_the_wrong_type_are_rejected(steps, key, value, issue):
     doc = full_doc()
     at(doc, steps)[key] = value
     assert issues_of(doc) == [issue]
+
+
+def test_every_bad_number_of_one_mapping_is_reported():
+    doc = full_doc()
+    doc["devices"][0]["auth"] = {"t_entry_s": 0, "open_angle_deg": 181}
+    assert issues_of(doc) == [
+        "devices[0].auth.t_entry_s: 0.0 must be above 0.0",
+        "devices[0].auth.open_angle_deg: 181 above maximum 180",
+    ]
+
+
+def test_null_retry_budget_retries_forever():
+    doc = full_doc()
+    doc["devices"][0]["retry"]["max_attempts"] = None
+    assert parse_scenario(doc).devices[0].retry.max_attempts is None
+
+
+# -- the schema's bounds ------------------------------------------------------
+# A generator of scenarios can draw every number from its field's ``bounds``
+# metadata only if every number has some, or a reason to have none.
+
+UNBOUNDED_NUMBERS = {
+    "seed": "any integer seeds the run",
+    "workload.flow.anomalies[0].magnitude_lpm": "signed: an anomaly can lower the flow",
+    "devices[0].retry.t_max_s": "bounded below by t_base_s, a cross-field invariant",
+}
+
+
+def number_fields(cls: type = Scenario, steps: tuple = (), path: str = ""):
+    """``(steps, path, field)`` of every int or float field reachable from
+    ``cls``, through nested mappings and the first item of each list."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp, here, name = hints[f.name], steps + (f.name,), f"{path}{f.name}"
+        inner = [a for a in typing.get_args(tp) if a not in (type(None), Ellipsis)]
+        if typing.get_origin(tp) is tuple:
+            (tp,), here, name = inner, here + (0,), name + "[0]"
+        elif typing.get_origin(tp) is types.UnionType:  # X | None
+            (tp,) = inner
+        if tp in (int, float):
+            yield here, name, f
+        elif dataclasses.is_dataclass(tp) and tp not in scenario_mod._LEAF_READERS:
+            yield from number_fields(tp, here, name + ".")
+
+
+BOUNDED_NUMBERS = [
+    (steps, path, f.metadata["bounds"])
+    for steps, path, f in number_fields()
+    if "bounds" in f.metadata
+]
+
+
+def test_every_number_declares_bounds_or_a_reason_not_to():
+    unbounded = {path for _, path, f in number_fields() if "bounds" not in f.metadata}
+    assert unbounded == set(UNBOUNDED_NUMBERS)
+
+
+@pytest.mark.parametrize(
+    "steps, path, bounds", BOUNDED_NUMBERS, ids=[path for _, path, _ in BOUNDED_NUMBERS]
+)
+def test_a_value_past_each_bound_gives_one_issue_at_its_path(steps, path, bounds):
+    lo, hi, gt = bounds
+    past = [v for v in (None if lo is None else lo - 1, None if hi is None else hi + 1, gt)
+            if v is not None]
+    assert past
+    for value in past:
+        doc = full_doc()
+        at(doc, steps[:-1])[steps[-1]] = value
+        [issue] = issues_of(doc)
+        assert issue.startswith(f"{path}: ")
 
 
 def test_negative_anomaly_magnitude_is_accepted():
