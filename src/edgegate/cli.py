@@ -16,7 +16,7 @@ from . import metrics as metrics_mod
 from . import sim
 from .codec import parse_json
 from .scenario import ConfigError, Scenario, load_scenario
-from .sink import DEFAULT_TOKEN, CloudSink, state_to_csv, state_to_json
+from .sink import DEFAULT_TOKEN, CloudSink, state_to_csv
 from .trace import TraceError
 from .wire import SinkServer
 
@@ -101,9 +101,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sink=dataclasses.replace(scenario.sink, token=effective_token(scenario.sink.token)),
     )
     out_dir = Path(args.out)
-    # The trace streams into a side file that becomes trace.jsonl only once
-    # the run has finished, so a failed run leaves no partial trace.
+    # The trace and the sink snapshot stream into side files that take their
+    # names only once the run has finished, so a failed run leaves no
+    # partial file.
     partial = out_dir / "trace.jsonl.part"
+    sink_partial = out_dir / "sink.json.part"
     failure = "cannot write output"  # what an exception means at this step
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -112,14 +114,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             simulation = sim.Simulation(scenario)
             _, report = simulation.run(writer=fh.write)
             report_json = report.to_json()
-            sink_json = state_to_json(simulation.sink.state_dict())
         failure = "cannot write output"
+        with open(sink_partial, "wb") as fh:
+            simulation.sink.write_state(fh.write)
         os.replace(partial, out_dir / "trace.jsonl")
         (out_dir / "report.json").write_bytes(report_json)
-        (out_dir / "sink.json").write_bytes(sink_json)
+        os.replace(sink_partial, out_dir / "sink.json")
     except Exception as exc:  # noqa: BLE001 - surface any failure as exit 2
-        if out_dir.is_dir():  # else mkdir failed, and there is no partial trace
+        if out_dir.is_dir():  # else mkdir failed, and there is no partial file
             partial.unlink(missing_ok=True)
+            sink_partial.unlink(missing_ok=True)
         print(f"{failure}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(metrics_mod.render_report(report, "text").decode("utf-8"))

@@ -6,9 +6,10 @@ compact (no insignificant whitespace) and deterministic, so equal records
 always produce identical bytes; that byte stability is what makes
 retransmissions safely deduplicable. Decoding additionally accepts
 pretty-printed input and, for compatibility with senders that omit it,
-tolerates a missing ``seq``: it decodes as 0, and :func:`parse_record`
+tolerates a missing ``seq``: it decodes as 0, and :func:`validate_record`
 reports its absence so the sink can assign the next ``seq`` after the
-device's highest stored one.
+device's highest stored one. The sink validates a record's bytes without
+decoding them into a :class:`CloudRecord`, and keeps the bytes.
 
 Every JSON text the package writes goes through :func:`compact_json`, and
 every JSON text it reads (trace lines, wire frame bodies, records, reports,
@@ -66,6 +67,11 @@ class UnknownEventTypeError(SchemaError):
     """event_type is not one of the closed enumeration."""
 
 
+def _check_seq(seq: object) -> None:
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+        raise InvalidRecordError(f"seq must be a non-negative integer, got {seq!r}")
+
+
 def _check_data(data: dict) -> None:
     for k, v in data.items():
         if not isinstance(k, str):
@@ -95,8 +101,7 @@ class CloudRecord:
     def __post_init__(self) -> None:
         if self.event_type not in EVENT_TYPES:
             raise InvalidRecordError(f"unknown event_type: {self.event_type!r}")
-        if not isinstance(self.seq, int) or isinstance(self.seq, bool) or self.seq < 0:
-            raise InvalidRecordError(f"seq must be a non-negative integer, got {self.seq!r}")
+        _check_seq(self.seq)
         if self.timestamp.millis != 0:
             object.__setattr__(self, "timestamp", Timestamp(self.timestamp.seconds_utc, 0))
         _check_data(self.data)
@@ -189,11 +194,13 @@ def utf8_text(payload: bytes) -> str:
         raise ParseError(f"payload is not UTF-8: {exc}") from None
 
 
-def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
-    """Like :func:`decode`, also reporting whether ``seq`` was present.
+def validate_record(payload: bytes) -> tuple[str, int | None, dict]:
+    """Check envelope bytes as :func:`decode` does, without building a
+    record: the device id, the ``seq`` (None when absent) and the parsed
+    object, or the error :func:`decode` raises for them.
 
-    The record's own constructor checks ``seq`` and the data values; its
-    :class:`InvalidRecordError` surfaces here as :class:`SchemaError`.
+    Malformed bytes raise :class:`ParseError`, anything else that breaks the
+    envelope :class:`SchemaError`, each check in this order.
     """
     text = utf8_text(payload)
     try:
@@ -216,13 +223,14 @@ def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
     if event_type not in EVENT_TYPES:
         raise UnknownEventTypeError(f"unknown event_type: {event_type!r}")
 
-    if not isinstance(obj["device_id"], str):
+    device = obj["device_id"]
+    if not isinstance(device, str):
         raise SchemaError("device_id must be a string")
     if not isinstance(obj["timestamp"], str):
         raise SchemaError("timestamp must be a string")
     try:
-        device_id = DeviceId(obj["device_id"])
-        timestamp = Timestamp.from_iso8601(obj["timestamp"])
+        DeviceId(device)
+        Timestamp.from_iso8601(obj["timestamp"])
     except CoreError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -230,18 +238,35 @@ def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
     if not isinstance(data, dict):
         raise SchemaError("data must be an object")
 
-    seq_present = "seq" in obj
+    seq = obj.get("seq")
     try:
-        record = CloudRecord(
-            device_id=device_id,
-            timestamp=timestamp,
-            event_type=event_type,
-            data=dict(data),
-            seq=obj["seq"] if seq_present else 0,
-        )
+        if "seq" in obj:
+            _check_seq(seq)
+        _check_data(data)
     except InvalidRecordError as exc:
         raise SchemaError(str(exc)) from None
-    return record, seq_present
+    return device, seq, obj
+
+
+def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
+    """Like :func:`decode`, also reporting whether ``seq`` was present."""
+    device, seq, obj = validate_record(payload)
+    record = CloudRecord(
+        device_id=DeviceId(device),
+        timestamp=Timestamp.from_iso8601(obj["timestamp"]),
+        event_type=obj["event_type"],
+        data=dict(obj["data"]),
+        seq=0 if seq is None else seq,
+    )
+    return record, seq is not None
+
+
+def stored_envelope(payload: bytes) -> dict:
+    """The envelope of bytes :func:`validate_record` accepted with a ``seq``,
+    as :func:`envelope` gives it for their record: a fresh JSON object,
+    top-level keys in wire order."""
+    obj = parse_json(payload.decode("utf-8"))
+    return {key: obj[key] for key in _TOP_LEVEL_KEYS}
 
 
 def idempotency_key(record: CloudRecord) -> str:

@@ -9,6 +9,13 @@ stale, so a late copy of a record the device has given up on cannot land
 after its successors: per-device order holds under a finite retry budget
 too. Fault injection is a simple availability flag so tests and scenarios
 can emulate outages that are distinct from network partitions.
+
+A stored row is its index, its received-at time in milliseconds and the
+record's bytes as validated on arrival (a record sent without ``seq`` is
+re-encoded with the ``seq`` it is assigned), so the table holds no object
+per row that the garbage collector tracks. Reading rows, a CSV export or a
+snapshot decodes the bytes; ``write_state`` streams the snapshot file row
+by row.
 """
 
 from __future__ import annotations
@@ -16,9 +23,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import replace
 from json.encoder import encode_basestring
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import codec
 from .codec import CloudRecord, DataValue
@@ -47,6 +53,8 @@ class StaleRecordError(SinkError):
 
 
 class SheetRow:
+    """One stored row, decoded."""
+
     __slots__ = ("row_index", "record", "received_at")
 
     def __init__(self, row_index: int, record: CloudRecord, received_at: Timestamp) -> None:
@@ -57,35 +65,44 @@ class SheetRow:
 
 class SheetTable:
     """Append-only storage: rows never mutate, indices are dense from 0, and
-    each device's rows are stored in ``seq`` order."""
+    each device's rows are stored in ``seq`` order. Row ``i`` is the ``i``-th
+    received-at time (in milliseconds) and record bytes."""
 
     def __init__(self) -> None:
-        self._rows: list[SheetRow] = []
-        self._seen: dict[str, int] = {}
+        self._received_ms: list[int] = []
+        self._payloads: list[bytes] = []
+        self._seen: dict[str, int] = {}  # idempotency key -> row index
         self._high_seq: dict[str, int] = {}  # device -> highest stored seq
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._payloads)
 
     @property
     def rows(self) -> tuple[SheetRow, ...]:
-        return tuple(self._rows)
+        return tuple(
+            SheetRow(row_index, codec.decode(payload), Timestamp(*divmod(ms, 1000)))
+            for row_index, ms, payload in self.stored()
+        )
 
-    def append(self, record: CloudRecord, received_at: Timestamp) -> int:
+    def stored(self) -> Iterator[tuple[int, int, bytes]]:
+        """Each row as stored: index, received-at milliseconds, record bytes."""
+        return zip(range(len(self._payloads)), self._received_ms, self._payloads)
+
+    def append(self, device: str, seq: int, payload: bytes, received_at: Timestamp) -> int:
         """Append unless the idempotency key was already stored; either way
         the returned index is the row holding this key. A new key below its
         device's highest stored ``seq`` raises ``StaleRecordError``."""
-        key = codec.idempotency_key(record)
+        key = f"{device}:{seq}"
         existing = self._seen.get(key)
         if existing is not None:
             return existing
-        device = record.device_id.value
         high = self._high_seq.get(device, -1)
-        if record.seq < high:
+        if seq < high:
             raise StaleRecordError(f"{key} is below {device}'s stored seq {high}")
-        self._high_seq[device] = record.seq
-        row_index = len(self._rows)
-        self._rows.append(SheetRow(row_index, record, received_at))
+        self._high_seq[device] = seq
+        row_index = len(self._payloads)
+        self._received_ms.append(received_at.seconds_utc * 1000 + received_at.millis)
+        self._payloads.append(payload)
         self._seen[key] = row_index
         return row_index
 
@@ -111,15 +128,16 @@ class CloudSink:
             raise UnavailableError("sink fault injection active")
 
     def append(self, token: str, record_bytes: bytes, received_at: Timestamp) -> int:
-        """Validate, decode and store; duplicate keys return the original row
-        index without appending. A record without ``seq`` gets the next one
-        after its device's highest stored ``seq``."""
+        """Validate and store; duplicate keys return the original row index
+        without appending. A record without ``seq`` gets the next one after
+        its device's highest stored ``seq``."""
         self._check(token)
-        record, seq_present = codec.parse_record(record_bytes)
-        if not seq_present:
-            high = self.table._high_seq.get(record.device_id.value, -1)
-            record = replace(record, seq=high + 1)
-        return self.table.append(record, received_at)
+        device, seq, obj = codec.validate_record(record_bytes)
+        if seq is None:
+            seq = obj["seq"] = self.table._high_seq.get(device, -1) + 1
+            # ASCII escapes keep any lone surrogate in the data storable.
+            record_bytes = json.dumps(obj, separators=(",", ":")).encode("ascii")
+        return self.table.append(device, seq, record_bytes, received_at)
 
     def query_policy(self, token: str, uid: Uid) -> AccessPolicy | None:
         """Stored policy for ``uid``, or None when the card is unknown."""
@@ -131,16 +149,21 @@ class CloudSink:
 
     def state_dict(self) -> dict:
         """JSON-ready snapshot of the table, for offline export and replay."""
-        return {
-            "rows": [
-                {
-                    "row_index": row.row_index,
-                    "received_at": row.received_at.iso8601(),
-                    "record": codec.envelope(row.record),
-                }
-                for row in self.table.rows
-            ]
-        }
+        return {"rows": list(self._state_rows())}
+
+    def write_state(self, write: Callable[[bytes], object]) -> None:
+        """Pass ``state_to_json(self.state_dict())`` to ``write`` in pieces,
+        one row at a time, without holding the whole snapshot."""
+        for text in _state_text(self._state_rows()):
+            write(text.encode("utf-8"))
+
+    def _state_rows(self) -> Iterator[dict]:
+        for row_index, ms, payload in self.table.stored():
+            yield {
+                "row_index": row_index,
+                "received_at": Timestamp(ms // 1000).iso8601(),
+                "record": codec.stored_envelope(payload),
+            }
 
 
 def export_csv(table: SheetTable) -> bytes:
@@ -193,33 +216,33 @@ def state_to_json(state: dict) -> bytes:
     encoder. This writes the fixed row layout directly, row by row, and
     encodes each string with the C string encoder.
     """
-    rows = state["rows"]
-    if not rows:
-        return b'{\n  "rows": []\n}\n'
-    out = ['{\n  "rows": [']
-    sep = ""
+    return "".join(_state_text(state["rows"])).encode("utf-8")
+
+
+def _state_text(rows: Iterable[dict]) -> Iterator[str]:
+    """The text of :func:`state_to_json`, one piece per row."""
+    head = '{\n  "rows": ['
     for row in rows:
         record = row["record"]
-        out.append(sep + _ROW_HEAD % (
+        text = head + _ROW_HEAD % (
             row["row_index"],
             encode_basestring(row["received_at"]),
             encode_basestring(record["device_id"]),
             encode_basestring(record["timestamp"]),
             encode_basestring(record["event_type"]),
             record["seq"],
-        ))
+        )
         data = record["data"]
         if data:
             items = ",".join(
                 _DATA_ITEM + encode_basestring(k) + ": " + _json_scalar(v)
                 for k, v in data.items()
             )
-            out.append("{" + items + "\n        }\n      }\n    }")
+            yield text + "{" + items + "\n        }\n      }\n    }"
         else:
-            out.append("{}\n      }\n    }")
-        sep = ","
-    out.append("\n  ]\n}\n")
-    return "".join(out).encode("utf-8")
+            yield text + "{}\n      }\n    }"
+        head = ","
+    yield "\n  ]\n}\n" if head == "," else '{\n  "rows": []\n}\n'
 
 
 def _json_scalar(value: DataValue) -> str:
@@ -243,11 +266,15 @@ def state_to_csv(state: dict) -> bytes:
         for name in ("row_index", "received_at", "record"):
             if not isinstance(row, dict) or name not in row:
                 raise ValueError(f"row {n}: missing {name!r}")
-        record = codec.decode(json.dumps(row["record"]).encode("utf-8"))
+        try:
+            record = codec.decode(json.dumps(row["record"]).encode("utf-8"))
+            received_at = Timestamp.from_iso8601(row["received_at"])
+        except ValueError as exc:
+            raise ValueError(f"row {n}: {exc}") from None
         row_index = row["row_index"]
         key = codec.idempotency_key(record)
         if key in seen:
             raise SinkError(f"key {key} is on two rows: row_index {seen[key]} and {row_index}")
         seen[key] = row_index
-        rows.append(SheetRow(row_index, record, Timestamp.from_iso8601(row["received_at"])))
+        rows.append(SheetRow(row_index, record, received_at))
     return _csv_rows(rows)

@@ -6,10 +6,13 @@ EXPORT; responses carry ``ok`` plus either the result fields or an ``error``
 code that maps one-to-one onto the in-process exception types, so a client
 talking over the socket observes exactly the behavior of a local sink.
 
-One non-blocking ``selectors`` loop serves every connection. It runs on a
-thread of its own (``SinkServer.start``, ``serve_forever``), or, for a client
-from ``SinkServer.connect``, on the client's thread while that client waits
-for a reply, so a simulation talks to its sink over TCP from one thread.
+One non-blocking ``selectors`` loop serves every connection, on a thread of
+its own (``SinkServer.start``, ``serve_forever``). An unstarted server serves
+the clients made by its ``connect`` directly, on the client's thread: the
+server accepts each such client's connection as it attaches, and a call sends
+its frame, has the server answer that peer, then reads the reply. Bytes
+still cross TCP both ways. Only a send or ``recv`` that would block runs a
+round of the loop, so a simulation talks to its sink over TCP from one thread.
 """
 
 from __future__ import annotations
@@ -128,13 +131,15 @@ def _err(code: str, message: str) -> dict:
 
 
 class _Conn:
-    """One accepted connection: bytes read but not yet answered, reply
-    bytes not yet sent, and whether it ends once those are sent."""
+    """One accepted connection: its peer's address, bytes read but not yet
+    answered, reply bytes not yet sent, and whether it ends once those are
+    sent."""
 
-    __slots__ = ("sock", "rbuf", "wbuf", "closing")
+    __slots__ = ("sock", "addr", "rbuf", "wbuf", "closing")
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, sock: socket.socket, addr: object) -> None:
         self.sock = sock
+        self.addr = addr
         self.rbuf = bytearray()
         self.wbuf = bytearray()
         self.closing = False
@@ -207,8 +212,9 @@ class SinkServer:
             self._poll(None)
 
     def connect(self) -> "RemoteSink":
-        """A client that runs this server's loop on the caller's thread
-        while it waits for a reply, instead of blocking in ``recv``.
+        """A client that this server answers on the caller's thread: each
+        call serves the client's own peer connection directly, and runs a
+        round of the loop only while a send or ``recv`` would block.
 
         Only one thread may run the loop at a time, so the server must not
         be started, and its ``connect`` clients share one thread.
@@ -234,11 +240,11 @@ class SinkServer:
 
     def _accept(self, mask: int) -> None:
         try:
-            sock, _ = self._listener.accept()
+            sock, addr = self._listener.accept()
         except OSError:  # the peer gave up, or no descriptor is left
             return
         sock.setblocking(False)
-        conn = _Conn(sock)
+        conn = _Conn(sock, addr)
         self._conns.add(conn)
         self._selector.register(sock, selectors.EVENT_READ, lambda mask: self._serve(conn))
 
@@ -314,14 +320,25 @@ class SinkServer:
 
     # -- inline clients (see connect) ----------------------------------------
 
-    def _attach(self, sock: socket.socket) -> None:
+    def _attach(self, sock: socket.socket, timeout: float) -> _Conn:
+        """Register an inline client's socket, accept its connection, and
+        return the server side of it: the accepted peer whose address is
+        the client's own."""
         sock.setblocking(False)
         self._selector.register(sock, selectors.EVENT_READ, _client_ready)
+        name = sock.getsockname()
+        while True:
+            for conn in self._conns:
+                if conn.addr == name:
+                    return conn
+            self._wait(self._listener, selectors.EVENT_READ, timeout)
 
-    def _detach(self, sock: socket.socket) -> None:
+    def _detach(self, sock: socket.socket, peer: _Conn | None) -> None:
         keys = self._selector.get_map()  # None once stop() closed the selector
         if keys is not None and sock in keys:
             self._selector.unregister(sock)
+        if peer in self._conns:
+            self._close(peer)
 
     def _wait(self, sock: socket.socket, events: int, timeout: float) -> None:
         """One loop round on the caller's thread, for an inline client that
@@ -339,7 +356,9 @@ class RemoteSink:
     as an in-process CloudSink.
 
     ``server`` is set by ``SinkServer.connect``: the client's socket is then
-    non-blocking, and a call that would block runs that server's loop.
+    non-blocking, each call has that server answer the client's peer
+    connection, and a send or ``recv`` that would block runs the server's
+    loop.
     """
 
     def __init__(
@@ -354,23 +373,25 @@ class RemoteSink:
         self._timeout = connect_timeout_s
         self._server = server
         self._sock: socket.socket | None = None
+        self._peer: _Conn | None = None  # the server side of an inline client
         self._lock = threading.Lock()
 
     def _conn(self) -> socket.socket:
         if self._sock is None:
             self._sock = socket.create_connection(self._addr, timeout=self._timeout)
             if self._server is not None:
-                self._server._attach(self._sock)
+                self._peer = self._server._attach(self._sock, self._timeout)
         return self._sock
 
     def close(self) -> None:
         if self._sock is not None:
             try:
                 if self._server is not None:
-                    self._server._detach(self._sock)
+                    self._server._detach(self._sock, self._peer)
                 self._sock.close()
             finally:
                 self._sock = None
+                self._peer = None
 
     def _call(self, request: dict) -> dict:
         frame = _frame(request)
@@ -394,6 +415,9 @@ class RemoteSink:
                 out = out[sock.send(out):]
             except BlockingIOError:
                 self._server._wait(sock, selectors.EVENT_WRITE, self._timeout)
+        peer = self._peer
+        if peer is not None and peer in self._server._conns:
+            self._server._serve(peer)  # answers at once unless bytes are still in flight
         buf = bytearray()
         while True:
             reply = _take_frame(buf)

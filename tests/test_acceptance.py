@@ -515,11 +515,11 @@ def test_13_per_device_order_under_a_finite_retry_budget():
     stale = []
     append = sim.sink.table.append
 
-    def spy(record, received_at):
+    def spy(device, seq, payload, received_at):
         try:
-            return append(record, received_at)
+            return append(device, seq, payload, received_at)
         except StaleRecordError:
-            stale.append(codec.idempotency_key(record))
+            stale.append(f"{device}:{seq}")
             raise
 
     sim.sink.table.append = spy

@@ -164,6 +164,11 @@ def with_bad_event_type(state: dict) -> dict:
     return state
 
 
+def with_bad_received_at(state: dict) -> dict:
+    state["rows"][2]["received_at"] = "yesterday"
+    return state
+
+
 class TestExport:
     def test_csv_from_sink_state(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -217,10 +222,11 @@ class TestExport:
              "expected an object with a list of rows"),
             (lambda state: {"rows": state["rows"][:2] + [[]]}, "row 2: missing 'row_index'"),
             (without_record, "row 2: missing 'record'"),
-            (with_bad_event_type, "unknown event_type: 'bogus'"),
+            (with_bad_event_type, "row 2: unknown event_type: 'bogus'"),
+            (with_bad_received_at, "row 2: bad ISO-8601 timestamp: 'yesterday'"),
         ],
         ids=["list_top_level", "rows_not_a_list", "row_not_an_object", "row_without_record",
-             "bad_event_type"],
+             "bad_event_type", "bad_received_at"],
     )
     def test_malformed_snapshot_exits_one(self, tmp_path, capsys, reshape, err):
         out = tmp_path / "out"

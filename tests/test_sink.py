@@ -1,16 +1,30 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
+import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from edgegate import codec
-from edgegate.codec import EVENT_TYPES, CloudRecord, SchemaError
-from edgegate.core import DeviceId, Timestamp, Uid
+from edgegate.codec import (
+    EVENT_TYPES,
+    CloudRecord,
+    InvalidRecordError,
+    ParseError,
+    SchemaError,
+    UnknownEventTypeError,
+)
+from edgegate.core import CoreError, DeviceId, Timestamp, Uid
+from edgegate.scenario import load_scenario
+from edgegate.sim import Simulation
 from edgegate.sink import (
     CSV_COLUMNS,
     CloudSink,
+    SheetRow,
     SinkError,
     StaleRecordError,
     UnauthorizedError,
@@ -265,3 +279,249 @@ class TestStateToJson:
               for seq, (event, data) in enumerate(items))
         )
         assert state_to_json(state) == reference_json(state)
+
+
+# -- the append path before rows were kept as bytes, as the reference --------
+
+
+def reference_parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
+    """``codec.parse_record`` as it was before ``validate_record``: the
+    record's own constructor checks ``seq`` and the data values."""
+    text = codec.utf8_text(payload)
+    try:
+        obj = codec.parse_json(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"payload is not JSON: {exc}") from None
+
+    if not isinstance(obj, dict):
+        raise SchemaError("top-level JSON value must be an object")
+    unknown = set(obj) - {"device_id", "timestamp", "event_type", "seq", "data"}
+    if unknown:
+        raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
+    missing = [k for k in ("device_id", "timestamp", "event_type", "data") if k not in obj]
+    if missing:
+        raise SchemaError(f"missing required keys: {missing}")
+
+    event_type = obj["event_type"]
+    if not isinstance(event_type, str):
+        raise SchemaError("event_type must be a string")
+    if event_type not in EVENT_TYPES:
+        raise UnknownEventTypeError(f"unknown event_type: {event_type!r}")
+
+    if not isinstance(obj["device_id"], str):
+        raise SchemaError("device_id must be a string")
+    if not isinstance(obj["timestamp"], str):
+        raise SchemaError("timestamp must be a string")
+    try:
+        device_id = DeviceId(obj["device_id"])
+        timestamp = Timestamp.from_iso8601(obj["timestamp"])
+    except CoreError as exc:
+        raise SchemaError(str(exc)) from None
+
+    data = obj["data"]
+    if not isinstance(data, dict):
+        raise SchemaError("data must be an object")
+
+    seq_present = "seq" in obj
+    try:
+        record = CloudRecord(
+            device_id=device_id,
+            timestamp=timestamp,
+            event_type=event_type,
+            data=dict(data),
+            seq=obj["seq"] if seq_present else 0,
+        )
+    except InvalidRecordError as exc:
+        raise SchemaError(str(exc)) from None
+    return record, seq_present
+
+
+class ReferenceTable:
+    """``CloudSink.append`` before rows were kept as bytes: parse the record,
+    then keep a table of ``SheetRow``s holding ``CloudRecord``s."""
+
+    def __init__(self) -> None:
+        self.rows: list[SheetRow] = []
+        self.seen: dict[str, int] = {}
+        self.high_seq: dict[str, int] = {}
+
+    def append(self, record_bytes: bytes, received_at: Timestamp) -> int:
+        record, seq_present = reference_parse_record(record_bytes)
+        device = record.device_id.value
+        if not seq_present:
+            record = dataclasses.replace(record, seq=self.high_seq.get(device, -1) + 1)
+        key = codec.idempotency_key(record)
+        existing = self.seen.get(key)
+        if existing is not None:
+            return existing
+        high = self.high_seq.get(device, -1)
+        if record.seq < high:
+            raise StaleRecordError(f"{key} is below {device}'s stored seq {high}")
+        self.high_seq[device] = record.seq
+        self.rows.append(SheetRow(len(self.rows), record, received_at))
+        self.seen[key] = len(self.rows) - 1
+        return len(self.rows) - 1
+
+    def state_dict(self) -> dict:
+        return {
+            "rows": [
+                {
+                    "row_index": row.row_index,
+                    "received_at": row.received_at.iso8601(),
+                    "record": codec.envelope(row.record),
+                }
+                for row in self.rows
+            ]
+        }
+
+
+def outcome(append, payload: bytes, received_at: Timestamp) -> tuple:
+    try:
+        return ("row", append(payload, received_at))
+    except Exception as exc:  # noqa: BLE001 - the verdict is what is compared
+        return (type(exc), str(exc))
+
+
+_VALID_ENVELOPES = st.fixed_dictionaries(
+    {
+        "device_id": st.sampled_from(["AC_001", "AC_002", "SM_7"]),
+        "timestamp": st.sampled_from(
+            ["2024-01-15T14:30:45Z", "2024-02-29T00:00:00Z", "1999-12-31T23:59:59Z"]
+        ),
+        "event_type": st.sampled_from(EVENT_TYPES),
+        "seq": st.integers(0, 4),
+        "data": st.dictionaries(st.text(max_size=4), data_values, max_size=3),
+    }
+)
+_WRONG_TYPES = {
+    "device_id": [7, None, ["AC_001"]],
+    "timestamp": [0, None, {"t": 1}],
+    "event_type": [1, None, True],
+    "seq": ["1", 1.0, None, [1]],
+    "data": [[], "x", None, 5],
+}
+_BAD_VALUES = {
+    "device_id": ["", "ac-1", "AC_", "_001", "AC_001\n", "AC 001"],
+    "timestamp": ["yesterday", "2024-13-01T00:00:00Z", "2023-02-29T00:00:00Z",
+                  "2024-01-15 14:30:45Z", "2024-01-15T14:30:45z", " 2024-01-15T14:30:45Z"],
+    "event_type": ["bogus", "Status", ""],
+    "seq": [True, False, -1, -(2**70), 2**70],
+    "data": [{"f": 1.5}, {"l": [1]}, {"n": None}, {"o": {}}],
+}
+_DEEP = b'{"data":' + b"[" * 200_000
+
+
+@st.composite
+def mutated_payloads(draw) -> bytes:
+    obj = dict(draw(_VALID_ENVELOPES))
+    how = draw(st.sampled_from(
+        ["valid", "drop", "rename", "add", "wrong_type", "bad_value", "no_seq",
+         "not_utf8", "lone_surrogate", "deep"]
+    ))
+    key = draw(st.sampled_from(sorted(obj)))
+    if how == "drop":
+        del obj[key]
+    elif how == "rename":
+        obj[key + "_x"] = obj.pop(key)
+    elif how == "add":
+        obj[draw(st.sampled_from(["extra", "Seq", ""]))] = 1
+    elif how == "wrong_type":
+        obj[key] = draw(st.sampled_from(_WRONG_TYPES[key]))
+    elif how == "bad_value":
+        obj[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+    elif how == "no_seq":
+        del obj["seq"]
+    elif how == "lone_surrogate":  # escaped it parses; raw it is not UTF-8
+        obj["data"] = {**obj["data"], "s": "\udc00"}
+    elif how == "deep":
+        return _DEEP
+    if draw(st.booleans()):  # senders may reorder the keys
+        obj = dict(draw(st.permutations(list(obj.items()))))
+    text = json.dumps(obj, indent=draw(st.sampled_from([None, 2])),
+                      ensure_ascii=draw(st.booleans()))
+    payload = text.encode("utf-8", "surrogatepass")
+    if how == "not_utf8":
+        at = draw(st.integers(0, len(payload)))
+        payload = payload[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + payload[at:]
+    return payload
+
+
+class TestAgainstTheReferenceAppend:
+    """The sink validates once and keeps bytes; the reference parses each
+    record into a CloudRecord. Both give the same verdict on every append
+    and hold the same rows afterwards."""
+
+    @given(st.lists(mutated_payloads(), min_size=1, max_size=8))
+    def test_same_verdicts_and_rows(self, payloads):
+        sink, reference = CloudSink(), ReferenceTable()
+        for n, payload in enumerate(payloads):
+            at = T0.add_seconds(n * 1.25)
+            assert outcome(lambda p, t: sink.append(TOKEN, p, t), payload, at) == outcome(
+                reference.append, payload, at
+            )
+        assert [(r.row_index, r.record, r.received_at) for r in sink.table.rows] == [
+            (r.row_index, r.record, r.received_at) for r in reference.rows
+        ]
+        assert sink.state_dict() == reference.state_dict()
+        assert len(sink.table) == len(reference.rows)
+        assert streamed(sink) == joined(reference.state_dict())
+
+
+def streamed(sink: CloudSink) -> bytes | type:
+    """What ``write_state`` wrote, or the type of its error: a lone
+    surrogate has no UTF-8 form, and the message of that error gives its
+    position within the piece being encoded."""
+    written = io.BytesIO()
+    try:
+        sink.write_state(written.write)
+    except UnicodeEncodeError as exc:
+        return type(exc)
+    return written.getvalue()
+
+
+def joined(state: dict) -> bytes | type:
+    """``state_to_json(state)``, or the type of its error."""
+    try:
+        return state_to_json(state)
+    except UnicodeEncodeError as exc:
+        return type(exc)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class TestRowsAsBytes:
+    def test_appends_add_no_tracked_objects(self):
+        sink = CloudSink()
+        payloads = [
+            codec.encode(CloudRecord(DeviceId(f"AC_00{seq % 3}"), T0, "access_granted",
+                                     {"uid": "A1B2C3D4", "duration_ms": seq, "open": True}, seq))
+            for seq in range(10_000)
+        ]
+        gc.collect()
+        before = len(gc.get_objects())
+        for payload in payloads:
+            sink.append(TOKEN, payload, T0)
+        grown = len(gc.get_objects()) - before
+        assert len(sink.table) == 10_000
+        assert grown < 100
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
+    def test_streamed_snapshot_of_a_bundled_scenario(self, name):
+        simulation = Simulation(load_scenario(SCENARIOS / f"{name}.yaml"))
+        simulation.run(writer=lambda line: None)
+        assert len(simulation.sink.table) > 0
+        assert streamed(simulation.sink) == state_to_json(simulation.sink.state_dict())
+
+    def test_streamed_snapshot_of_seqless_pretty_and_non_ascii_records(self):
+        sink = CloudSink()
+        seqless = {"device_id": "AC_001", "timestamp": "2024-01-15T14:30:45Z",
+                   "event_type": "status", "data": {"név": "Ünïcødé ✓ 日本", "n": -7}}
+        sink.append(TOKEN, json.dumps(seqless).encode(), T0)
+        sink.append(TOKEN, json.dumps(seqless, ensure_ascii=False).encode(), T0)
+        pretty = dict(reversed([*seqless.items(), ("seq", 5)]))
+        sink.append(TOKEN, json.dumps(pretty, indent=4, ensure_ascii=False).encode(), T0)
+        sink.append(TOKEN, json.dumps(seqless, indent="\t").encode(), T0.add_seconds(0.5))
+        assert [r.record.seq for r in sink.table.rows] == [0, 1, 5, 6]
+        assert streamed(sink) == state_to_json(sink.state_dict())
+        assert streamed(CloudSink()) == state_to_json(CloudSink().state_dict())

@@ -451,6 +451,90 @@ class TestInlineClient:
         client.close()
 
 
+    def test_each_call_serves_the_clients_own_peer(self, unstarted_server, inline, monkeypatch):
+        assert inline.query_policy(TOKEN, Uid("FFFFFFFF")) is None  # attaches: accepts the peer
+        rounds = count_loop_rounds(monkeypatch)
+        assert [inline.append(TOKEN, codec.encode(record(i))) for i in range(3)] == [0, 1, 2]
+        assert inline.query_policy(TOKEN, Uid("A1B2C3D4")) is not None
+        assert rounds == []  # no call needed a round of the loop
+
+    def test_a_peer_with_no_bytes_yet_is_served_by_the_loop(
+        self, unstarted_server, inline, monkeypatch
+    ):
+        inline.append(TOKEN, codec.encode(record(0)))  # attached and served directly
+        serve = SinkServer._serve
+        starved = []
+
+        def serve_once_without_bytes(server, conn):
+            if starved:
+                return serve(server, conn)
+            starved.append(conn)
+            real, conn.sock = conn.sock, _NoBytesYet(conn.sock)
+            try:
+                serve(server, conn)
+            finally:
+                conn.sock = real
+
+        monkeypatch.setattr(SinkServer, "_serve", serve_once_without_bytes)
+        rounds = count_loop_rounds(monkeypatch)
+        assert inline.append(TOKEN, codec.encode(record(1))) == 1
+        assert starved == [inline._peer]
+        assert rounds  # the reply came through the selector
+        assert inline.append(TOKEN, codec.encode(record(1))) == 1
+        assert len(unstarted_server.sink.table) == 2
+
+    def test_two_clients_alternate_each_with_its_own_peer(self, unstarted_server, monkeypatch):
+        first, second = unstarted_server.connect(), unstarted_server.connect()
+        try:
+            for client in (first, second):
+                assert client.query_policy(TOKEN, Uid("FFFFFFFF")) is None
+            rounds = count_loop_rounds(monkeypatch)
+            rows = [
+                (client.append(TOKEN, codec.encode(record(seq, device))))
+                for seq in range(3)
+                for client, device in ((first, "AC_001"), (second, "AC_002"))
+            ]
+            assert rows == [0, 1, 2, 3, 4, 5]
+            assert first.append(TOKEN, codec.encode(record(1, "AC_001"))) == 2
+            assert second.append(TOKEN, codec.encode(record(0, "AC_002"))) == 1
+            assert first._peer is not second._peer
+            for client in (first, second):
+                assert client._peer.addr == client._sock.getsockname()
+                assert client._peer.sock.getpeername() == client._sock.getsockname()
+            assert rounds == []
+        finally:
+            first.close()
+            second.close()
+        assert unstarted_server._conns == set()
+
+
+class _NoBytesYet:
+    """A socket whose next ``recv`` finds nothing, as when loopback has not
+    delivered the bytes yet."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def recv(self, n: int) -> bytes:
+        raise BlockingIOError
+
+    def __getattr__(self, name: str):
+        return getattr(self._sock, name)
+
+
+def count_loop_rounds(monkeypatch) -> list[None]:
+    """One entry per round of the server's loop from now on."""
+    rounds: list[None] = []
+    poll = SinkServer._poll
+
+    def counted(server, timeout):
+        rounds.append(None)
+        return poll(server, timeout)
+
+    monkeypatch.setattr(SinkServer, "_poll", counted)
+    return rounds
+
+
 def _no_threads(self):
     raise AssertionError("no thread may start")
 
