@@ -8,8 +8,7 @@ retransmissions safely deduplicable. Decoding additionally accepts
 pretty-printed input and, for compatibility with senders that omit it,
 tolerates a missing ``seq``: it decodes as 0, and :func:`validate_record`
 reports its absence so the sink can assign the next ``seq`` after the
-device's highest stored one. The sink validates a record's bytes without
-decoding them into a :class:`CloudRecord`, and keeps the bytes.
+device's highest stored one.
 
 Every JSON text the package writes goes through :func:`compact_json`, and
 every JSON text it reads (trace lines, wire frame bodies, records, reports,
@@ -251,13 +250,9 @@ def validate_record(payload: bytes) -> tuple[str, int | None, dict]:
 def parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
     """Like :func:`decode`, also reporting whether ``seq`` was present."""
     device, seq, obj = validate_record(payload)
-    record = CloudRecord(
-        device_id=DeviceId(device),
-        timestamp=Timestamp.from_iso8601(obj["timestamp"]),
-        event_type=obj["event_type"],
-        data=dict(obj["data"]),
-        seq=0 if seq is None else seq,
-    )
+    timestamp = Timestamp.from_iso8601(obj["timestamp"])
+    data = dict(obj["data"])
+    record = CloudRecord(DeviceId(device), timestamp, obj["event_type"], data, seq or 0)
     return record, seq is not None
 
 

@@ -10,12 +10,10 @@ after its successors: per-device order holds under a finite retry budget
 too. Fault injection is a simple availability flag so tests and scenarios
 can emulate outages that are distinct from network partitions.
 
-A stored row is its index, its received-at time in milliseconds and the
-record's bytes as validated on arrival (a record sent without ``seq`` is
-re-encoded with the ``seq`` it is assigned), so the table holds no object
-per row that the garbage collector tracks. Reading rows, a CSV export or a
-snapshot decodes the bytes; ``write_state`` streams the snapshot file row
-by row.
+A row is kept as its received-at milliseconds and the record bytes that
+were validated on arrival, so it holds no object the garbage collector
+tracks; whatever reads rows decodes them, and ``write_state`` streams the
+snapshot file row by row.
 """
 
 from __future__ import annotations
@@ -53,8 +51,6 @@ class StaleRecordError(SinkError):
 
 
 class SheetRow:
-    """One stored row, decoded."""
-
     __slots__ = ("row_index", "record", "received_at")
 
     def __init__(self, row_index: int, record: CloudRecord, received_at: Timestamp) -> None:

@@ -8,11 +8,9 @@ talking over the socket observes exactly the behavior of a local sink.
 
 One non-blocking ``selectors`` loop serves every connection, on a thread of
 its own (``SinkServer.start``, ``serve_forever``). An unstarted server serves
-the clients made by its ``connect`` directly, on the client's thread: the
-server accepts each such client's connection as it attaches, and a call sends
-its frame, has the server answer that peer, then reads the reply. Bytes
-still cross TCP both ways. Only a send or ``recv`` that would block runs a
-round of the loop, so a simulation talks to its sink over TCP from one thread.
+a client from its ``connect`` on the client's thread: each call sends its
+frame over TCP, has the server answer the client's own peer connection, and
+reads the reply; only a send or ``recv`` that would block runs a loop round.
 """
 
 from __future__ import annotations
@@ -356,9 +354,7 @@ class RemoteSink:
     as an in-process CloudSink.
 
     ``server`` is set by ``SinkServer.connect``: the client's socket is then
-    non-blocking, each call has that server answer the client's peer
-    connection, and a send or ``recv`` that would block runs the server's
-    loop.
+    non-blocking, and each call has that server answer the client's peer.
     """
 
     def __init__(
@@ -417,7 +413,7 @@ class RemoteSink:
                 self._server._wait(sock, selectors.EVENT_WRITE, self._timeout)
         peer = self._peer
         if peer is not None and peer in self._server._conns:
-            self._server._serve(peer)  # answers at once unless bytes are still in flight
+            self._server._serve(peer)  # answers now unless bytes are in flight
         buf = bytearray()
         while True:
             reply = _take_frame(buf)

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from edgegate import codec
 from edgegate.codec import (
@@ -323,17 +323,17 @@ def reference_parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
         raise SchemaError("data must be an object")
 
     seq_present = "seq" in obj
-    try:
-        record = CloudRecord(
-            device_id=device_id,
-            timestamp=timestamp,
-            event_type=event_type,
-            data=dict(data),
-            seq=obj["seq"] if seq_present else 0,
-        )
-    except InvalidRecordError as exc:
-        raise SchemaError(str(exc)) from None
-    return record, seq_present
+    seq = obj["seq"] if seq_present else 0
+    # The record constructor's checks, spelled out so that they stay the
+    # reference's own.
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+        raise SchemaError(f"seq must be a non-negative integer, got {seq!r}")
+    for k, v in data.items():
+        if not isinstance(v, (str, int, bool)) or isinstance(v, float):
+            raise SchemaError(
+                f"data value for {k!r} must be string/integer/boolean, got {type(v).__name__}"
+            )
+    return CloudRecord(device_id, timestamp, event_type, dict(data), seq), seq_present
 
 
 class ReferenceTable:
@@ -358,9 +358,10 @@ class ReferenceTable:
         if record.seq < high:
             raise StaleRecordError(f"{key} is below {device}'s stored seq {high}")
         self.high_seq[device] = record.seq
-        self.rows.append(SheetRow(len(self.rows), record, received_at))
-        self.seen[key] = len(self.rows) - 1
-        return len(self.rows) - 1
+        row_index = len(self.rows)
+        self.rows.append(SheetRow(row_index, record, received_at))
+        self.seen[key] = row_index
+        return row_index
 
     def state_dict(self) -> dict:
         return {
@@ -373,6 +374,13 @@ class ReferenceTable:
                 for row in self.rows
             ]
         }
+
+
+def faulty(**fields) -> bytes:
+    """A valid envelope with ``fields`` replaced or added."""
+    envelope = {"device_id": "AC_001", "timestamp": "2024-01-15T14:30:45Z",
+                "event_type": "status", "seq": 0, "data": {}}
+    return json.dumps({**envelope, **fields}).encode()
 
 
 def outcome(append, payload: bytes, received_at: Timestamp) -> tuple:
@@ -411,38 +419,45 @@ _BAD_VALUES = {
 _DEEP = b'{"data":' + b"[" * 200_000
 
 
+# Field-level mutations are drawn more often than whole-payload ones.
+_MUTATIONS = ("valid", "drop", "rename", "add", "no_seq", "lone_surrogate", "not_utf8", "deep",
+              *("wrong_type", "bad_value") * 4)
+
+
 @st.composite
 def mutated_payloads(draw) -> bytes:
+    """A valid envelope with up to two mutations, so that two faults meet
+    and the order of the checks shows."""
     obj = dict(draw(_VALID_ENVELOPES))
-    how = draw(st.sampled_from(
-        ["valid", "drop", "rename", "add", "wrong_type", "bad_value", "no_seq",
-         "not_utf8", "lone_surrogate", "deep"]
-    ))
-    key = draw(st.sampled_from(sorted(obj)))
-    if how == "drop":
-        del obj[key]
-    elif how == "rename":
-        obj[key + "_x"] = obj.pop(key)
-    elif how == "add":
-        obj[draw(st.sampled_from(["extra", "Seq", ""]))] = 1
-    elif how == "wrong_type":
-        obj[key] = draw(st.sampled_from(_WRONG_TYPES[key]))
-    elif how == "bad_value":
-        obj[key] = draw(st.sampled_from(_BAD_VALUES[key]))
-    elif how == "no_seq":
-        del obj["seq"]
-    elif how == "lone_surrogate":  # escaped it parses; raw it is not UTF-8
-        obj["data"] = {**obj["data"], "s": "\udc00"}
-    elif how == "deep":
-        return _DEEP
+    hows = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2))
+    for how in hows:
+        key = draw(st.sampled_from(sorted(set(obj) & set(_WRONG_TYPES)) or ["seq"]))
+        if how == "drop":
+            obj.pop(key, None)
+        elif how == "rename":
+            obj[key + "_x"] = obj.pop(key, None)
+        elif how == "add":
+            obj[draw(st.sampled_from(["extra", "Seq", ""]))] = 1
+        elif how == "wrong_type":
+            obj[key] = draw(st.sampled_from(_WRONG_TYPES[key]))
+        elif how == "bad_value":
+            obj[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+        elif how == "no_seq":
+            obj.pop("seq", None)
+        elif how == "lone_surrogate":  # escaped it parses; raw it is not UTF-8
+            obj["data"] = {**(obj.get("data") if isinstance(obj.get("data"), dict) else {}),
+                           "s": "\udc00"}
+        elif how == "deep":
+            return _DEEP
     if draw(st.booleans()):  # senders may reorder the keys
         obj = dict(draw(st.permutations(list(obj.items()))))
     text = json.dumps(obj, indent=draw(st.sampled_from([None, 2])),
                       ensure_ascii=draw(st.booleans()))
     payload = text.encode("utf-8", "surrogatepass")
-    if how == "not_utf8":
+    if "not_utf8" in hows:
         at = draw(st.integers(0, len(payload)))
-        payload = payload[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + payload[at:]
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        payload = payload[:at] + bad + payload[at:]
     return payload
 
 
@@ -452,6 +467,9 @@ class TestAgainstTheReferenceAppend:
     and hold the same rows afterwards."""
 
     @given(st.lists(mutated_payloads(), min_size=1, max_size=8))
+    @example([faulty(seq=-1, data={"f": 1.5}), faulty(seq=True), faulty(seq=2, data=[])])
+    @example([faulty(event_type="bogus", device_id=7), faulty(device_id="ac-1", timestamp=0)])
+    @example([faulty(extra=1, data=None), faulty(seq=None, timestamp="yesterday")])
     def test_same_verdicts_and_rows(self, payloads):
         sink, reference = CloudSink(), ReferenceTable()
         for n, payload in enumerate(payloads):
