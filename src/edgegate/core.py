@@ -85,7 +85,7 @@ class Timestamp:
         no unpadded fields, other separators, lowercase letters or
         surrounding whitespace, and the date and time must exist.
         """
-        match = _ISO_RE.fullmatch(text)
+        match = _ISO_RE.fullmatch(text) if isinstance(text, str) else None
         if match is not None:
             day, hh, mm, ss = match.groups()
             hours, minutes, seconds = int(hh), int(mm), int(ss)

@@ -500,8 +500,8 @@ class Simulation:
         self.sink.seed_policies(scenario.authz)
         self._server: SinkServer | None = None
         if scenario.sink.mode == "socket":
-            # The run drives the server's loop while it waits for each reply,
-            # so it stays on one thread and reads the sink clock there.
+            # The unstarted server answers each call on the run's own thread,
+            # so the run stays on one thread and reads the sink clock there.
             self._server = SinkServer(self.sink, clock=self.clock)
             self.sink_port = self._server.connect()
         else:

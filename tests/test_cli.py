@@ -169,6 +169,11 @@ def with_bad_received_at(state: dict) -> dict:
     return state
 
 
+def with_numeric_received_at(state: dict) -> dict:
+    state["rows"][2]["received_at"] = 5
+    return state
+
+
 class TestExport:
     def test_csv_from_sink_state(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -224,9 +229,10 @@ class TestExport:
             (without_record, "row 2: missing 'record'"),
             (with_bad_event_type, "row 2: unknown event_type: 'bogus'"),
             (with_bad_received_at, "row 2: bad ISO-8601 timestamp: 'yesterday'"),
+            (with_numeric_received_at, "row 2: bad ISO-8601 timestamp: 5"),
         ],
         ids=["list_top_level", "rows_not_a_list", "row_not_an_object", "row_without_record",
-             "bad_event_type", "bad_received_at"],
+             "bad_event_type", "bad_received_at", "numeric_received_at"],
     )
     def test_malformed_snapshot_exits_one(self, tmp_path, capsys, reshape, err):
         out = tmp_path / "out"
@@ -266,6 +272,24 @@ class TestUnwritableOut:
         assert main(["run", str(GOOD), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("cannot write output: ")
         assert not (out / "trace.jsonl.part").exists()
+
+    def test_sink_json_streams_through_a_part_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        seen = []
+        replace = os.replace
+
+        def spy(src, dst):
+            seen.append((Path(src).name, Path(dst).name, sorted(p.name for p in out.iterdir())))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        assert main(["run", str(GOOD), "--out", str(out)]) == 0
+        assert seen[-1] == ("sink.json.part", "sink.json",
+                            ["report.json", "sink.json.part", "trace.jsonl"])
+        (out / "sink.json").unlink()
+        (out / "sink.json").mkdir()
+        assert main(["run", str(GOOD), "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "sink.json", "trace.jsonl"]
 
 
 class TestTokenOverride:

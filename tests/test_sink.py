@@ -10,14 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from edgegate import codec
-from edgegate.codec import (
-    EVENT_TYPES,
-    CloudRecord,
-    InvalidRecordError,
-    ParseError,
-    SchemaError,
-    UnknownEventTypeError,
-)
+from edgegate.codec import EVENT_TYPES, CloudRecord, ParseError, SchemaError, UnknownEventTypeError
 from edgegate.core import CoreError, DeviceId, Timestamp, Uid
 from edgegate.scenario import load_scenario
 from edgegate.sim import Simulation

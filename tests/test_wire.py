@@ -450,7 +450,6 @@ class TestInlineClient:
             client.append(TOKEN, codec.encode(record(1)))
         client.close()
 
-
     def test_each_call_serves_the_clients_own_peer(self, unstarted_server, inline, monkeypatch):
         assert inline.query_policy(TOKEN, Uid("FFFFFFFF")) is None  # attaches: accepts the peer
         rounds = count_loop_rounds(monkeypatch)
@@ -490,7 +489,7 @@ class TestInlineClient:
                 assert client.query_policy(TOKEN, Uid("FFFFFFFF")) is None
             rounds = count_loop_rounds(monkeypatch)
             rows = [
-                (client.append(TOKEN, codec.encode(record(seq, device))))
+                client.append(TOKEN, codec.encode(record(seq, device)))
                 for seq in range(3)
                 for client, device in ((first, "AC_001"), (second, "AC_002"))
             ]
