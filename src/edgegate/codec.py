@@ -24,6 +24,7 @@ goes to ``json.loads`` itself, so the value or the exception is always its.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.decoder import JSONDecoder
@@ -244,6 +245,11 @@ def validate_record(payload: bytes) -> tuple[str, int | None, dict]:
         _check_data(data)
     except InvalidRecordError as exc:
         raise SchemaError(str(exc)) from None
+    if "\\u" in text:  # only an escape can give a string a lone surrogate
+        for k, v in data.items():
+            for part, value in (("key", k), ("value for", v)):
+                if isinstance(value, str) and re.search("[\ud800-\udfff]", value):
+                    raise SchemaError(f"data {part} {k!r} holds a lone surrogate")
     return device, seq, obj
 
 

@@ -11,13 +11,10 @@ denominator are reported as absent (None / ``n/a``), never as 0 or NaN.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
-from .codec import parse_json
 from .trace import EventTrace, GroundTruth, TraceError, read_jsonl
 
 _SERIES_MAX_POINTS = 512
@@ -51,29 +48,8 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MetricsReport":
-        return cls(
-            schema_version=int(obj.get("schema_version", 1)),
-            auth_accuracy=obj.get("auth_accuracy"),
-            far=obj.get("far"),
-            frr=obj.get("frr"),
-            response_mean_ms=obj.get("response_mean_ms"),
-            response_p95_ms=obj.get("response_p95_ms"),
-            logging_success=obj.get("logging_success"),
-            latency_mean_s=obj.get("latency_mean_s"),
-            latency_p95_s=obj.get("latency_p95_s"),
-            counts={str(k): int(v) for k, v in obj.get("counts", {}).items()},
-            detection=dict(obj.get("detection", {})),
-            queue_depth_series=[list(p) for p in obj.get("queue_depth_series", [])],
-        )
-
     def to_json(self) -> bytes:
         return (json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-    @classmethod
-    def from_json(cls, payload: bytes) -> "MetricsReport":
-        return cls.from_dict(parse_json(payload.decode("utf-8")))
 
 
 def _mean(values: list[float]) -> float | None:
@@ -329,49 +305,13 @@ def _count_matched(times: list[float], others: list[float]) -> int:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_CSV_SCALARS = (
-    "schema_version",
-    "auth_accuracy",
-    "far",
-    "frr",
-    "response_mean_ms",
-    "response_p95_ms",
-    "logging_success",
-    "latency_mean_s",
-    "latency_p95_s",
-)
-
-
 def render_report(report: MetricsReport, fmt: str = "json") -> bytes:
-    """Render as canonical JSON, a flat CSV of scalar fields, or a text table."""
+    """Render as canonical JSON or a text table."""
     if fmt == "json":
         return report.to_json()
-    if fmt == "csv":
-        return _render_csv(report)
     if fmt == "text":
         return _render_text(report)
     raise MetricsError(f"unknown report format: {fmt!r}")
-
-
-def _render_csv(report: MetricsReport) -> bytes:
-    d = report.to_dict()
-    header = list(_CSV_SCALARS)
-    header += [f"counts.{k}" for k in sorted(d["counts"])]
-    header += [f"detection.{k}" for k in sorted(d["detection"])]
-    row = [_csv_value(d[k]) for k in _CSV_SCALARS]
-    row += [_csv_value(d["counts"][k]) for k in sorted(d["counts"])]
-    row += [_csv_value(d["detection"][k]) for k in sorted(d["detection"])]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buf.getvalue().encode("utf-8")
-
-
-def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _fmt(value, suffix: str = "") -> str:

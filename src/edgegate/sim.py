@@ -160,6 +160,8 @@ class NetworkModel:
     the scenario reader has already checked their bounds and intervals, and
     ``FaultsConfig`` keeps the partitions sorted and disjoint. Inside a drop
     window the larger of the window's and the base drop probability applies.
+    Fault edges round to whole microseconds, as ``SimClock`` rounds the times
+    of the fault events, so each fault acts from one event to the other.
     """
 
     def __init__(
@@ -167,6 +169,12 @@ class NetworkModel:
     ) -> None:
         self.config = config
         self.faults = faults
+        self._partitions_us = [
+            (round(span.start_s * 1e6), round(span.end_s * 1e6)) for span in faults.partitions
+        ]
+        self._drop_windows_us = [
+            (round(w.start_s * 1e6), round(w.end_s * 1e6), w.prob) for w in faults.drop_windows
+        ]
 
     def sample_latency(self, rng: random.Random) -> float:
         """Normal draw truncated below at the floor (never negative or zero)."""
@@ -174,18 +182,20 @@ class NetworkModel:
         return max(cfg.latency_floor_s, rng.gauss(cfg.latency_mean_s, cfg.latency_stddev_s))
 
     def in_partition(self, t: float) -> bool:
-        for span in self.faults.partitions:
-            if span.start_s <= t < span.end_s:
+        t_us = round(t * 1e6)
+        for start_us, end_us in self._partitions_us:
+            if start_us <= t_us < end_us:
                 return True
-            if t < span.start_s:
+            if t_us < start_us:
                 break
         return False
 
     def drop_probability(self, t: float) -> float:
         p = self.config.drop_prob
-        for window in self.faults.drop_windows:
-            if window.start_s <= t < window.end_s:
-                p = max(p, window.prob)
+        t_us = round(t * 1e6)
+        for start_us, end_us, prob in self._drop_windows_us:
+            if start_us <= t_us < end_us:
+                p = max(p, prob)
         return p
 
     def transit(self, t: float, rng: random.Random) -> float | None:
@@ -618,15 +628,16 @@ class Simulation:
 
     def _schedule_faults(self) -> None:
         """Every partition, then every sink outage, each at its start and, if
-        the run reaches it, its end; this order is their tie order."""
-        faults, duration = self.scenario.faults, self.scenario.duration_s
+        the run reaches it on the clock's microsecond grid, its end; this
+        order is their tie order."""
+        faults, end_us = self.scenario.faults, round(self.scenario.duration_s * 1e6)
         for span in faults.partitions:
             self.clock.schedule_at(span.start_s, lambda: self.emit("partition_start", {}))
-            if span.end_s <= duration:
+            if round(span.end_s * 1e6) <= end_us:
                 self.clock.schedule_at(span.end_s, lambda: self.emit("partition_end", {}))
         for span in faults.sink_outages:
             self.clock.schedule_at(span.start_s, lambda: self._set_sink(False))
-            if span.end_s <= duration:
+            if round(span.end_s * 1e6) <= end_us:
                 self.clock.schedule_at(span.end_s, lambda: self._set_sink(True))
 
     def _set_sink(self, available: bool) -> None:

@@ -12,8 +12,8 @@ can emulate outages that are distinct from network partitions.
 
 A row is kept as its received-at milliseconds and the record bytes that
 were validated on arrival, so it holds no object the garbage collector
-tracks; whatever reads rows decodes them, and ``write_state`` streams the
-snapshot file row by row.
+tracks; whatever reads rows decodes them. ``write_state`` streams the
+snapshot file row by row, and the CSV export, :func:`state_to_csv`, reads it.
 """
 
 from __future__ import annotations
@@ -131,17 +131,13 @@ class CloudSink:
         device, seq, obj = codec.validate_record(record_bytes)
         if seq is None:
             seq = obj["seq"] = self.table._high_seq.get(device, -1) + 1
-            # ASCII escapes keep any lone surrogate in the data storable.
-            record_bytes = json.dumps(obj, separators=(",", ":")).encode("ascii")
+            record_bytes = codec.compact_json(obj).encode("utf-8")
         return self.table.append(device, seq, record_bytes, received_at)
 
     def query_policy(self, token: str, uid: Uid) -> AccessPolicy | None:
         """Stored policy for ``uid``, or None when the card is unknown."""
         self._check(token)
         return self.authz.get(uid)
-
-    def export_csv(self) -> bytes:
-        return export_csv(self.table)
 
     def state_dict(self) -> dict:
         """JSON-ready snapshot of the table, for offline export and replay."""
@@ -162,13 +158,9 @@ class CloudSink:
             }
 
 
-def export_csv(table: SheetTable) -> bytes:
-    """One row per stored record, header first, stable column order; the data
-    map flattens to semicolon-joined key=value pairs."""
-    return _csv_rows(table.rows)
-
-
 def _csv_rows(rows: Iterable[SheetRow]) -> bytes:
+    """One line per row, header first, stable column order; the data map
+    flattens to semicolon-joined key=value pairs."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

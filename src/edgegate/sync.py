@@ -279,7 +279,3 @@ class SyncClient:
             return
         delay = backoff_delay(entry.attempts, self._policy)
         self._clock.schedule(delay, lambda: self._send(entry))
-
-
-def queue_depth(queue: OutboxQueue) -> int:
-    return queue.depth()

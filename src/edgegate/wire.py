@@ -1,10 +1,11 @@
 """Socket binding for the mock cloud sink.
 
 Framing: every request and response is a 4-byte big-endian length prefix
-followed by a UTF-8 JSON body. Requests carry an ``op`` of APPEND, QUERY or
-EXPORT; responses carry ``ok`` plus either the result fields or an ``error``
-code that maps one-to-one onto the in-process exception types, so a client
-talking over the socket observes exactly the behavior of a local sink.
+followed by a UTF-8 JSON body. Requests carry an ``op`` of APPEND or QUERY;
+responses carry ``ok`` plus either the result fields or an ``error`` code
+that maps one-to-one onto the in-process exception types, so a client
+talking over the socket observes exactly the behavior of a local sink. Any
+other ``op`` gets a ``bad_request`` reply, and the connection stays open.
 
 One non-blocking ``selectors`` loop serves every connection, on a thread of
 its own (``SinkServer.start``, ``serve_forever``). An unstarted server serves
@@ -116,8 +117,6 @@ def _handle_request(sink: CloudSink, clock: ClockPort, request: dict) -> dict:
             if policy is None:
                 return {"ok": True, "found": False}
             return {"ok": True, "found": True, "policy": policy.to_dict()}
-        if op == "EXPORT":
-            return {"ok": True, "csv": sink.export_csv().decode("utf-8")}
         return _err("bad_request", f"unknown op: {op!r}")
     except _MAPPED_ERRORS as exc:
         code = next(code for code, cls in _ERROR_CODES if isinstance(exc, cls))
@@ -448,11 +447,6 @@ class RemoteSink:
         if not response.get("found"):
             return None
         return AccessPolicy.from_dict(response["policy"])
-
-    def export_csv(self) -> bytes:
-        response = self._call({"op": "EXPORT"})
-        self._raise_on_error(response)
-        return str(response["csv"]).encode("utf-8")
 
     @staticmethod
     def _raise_on_error(response: dict) -> None:

@@ -174,6 +174,11 @@ def with_numeric_received_at(state: dict) -> dict:
     return state
 
 
+def with_lone_surrogate(state: dict) -> dict:
+    state["rows"][2]["record"]["data"]["note"] = "\udc00"  # saved as the escape
+    return state
+
+
 class TestExport:
     def test_csv_from_sink_state(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -230,9 +235,10 @@ class TestExport:
             (with_bad_event_type, "row 2: unknown event_type: 'bogus'"),
             (with_bad_received_at, "row 2: bad ISO-8601 timestamp: 'yesterday'"),
             (with_numeric_received_at, "row 2: bad ISO-8601 timestamp: 5"),
+            (with_lone_surrogate, "row 2: data value for 'note' holds a lone surrogate"),
         ],
         ids=["list_top_level", "rows_not_a_list", "row_not_an_object", "row_without_record",
-             "bad_event_type", "bad_received_at", "numeric_received_at"],
+             "bad_event_type", "bad_received_at", "numeric_received_at", "lone_surrogate"],
     )
     def test_malformed_snapshot_exits_one(self, tmp_path, capsys, reshape, err):
         out = tmp_path / "out"

@@ -186,6 +186,20 @@ class TestNetworkModel:
         assert model.in_partition(19.999)
         assert not model.in_partition(20.0)
 
+    def test_fault_edges_finer_than_a_microsecond_act_on_the_clock_grid(self):
+        """The clock fires a fault's events at the edge rounded to 1 µs, and
+        the fault holds from exactly that instant to the next."""
+        model = NetworkModel(faults=FaultsConfig(
+            partitions=(Partition(10.0000004, 20.0000004),),
+            drop_windows=(DropWindow(30.0000004, 40.0, 1.0),),
+        ))
+        assert not model.in_partition(9.999999)
+        assert model.in_partition(10.0)  # partition_start fires at t=10.0
+        assert model.in_partition(19.999999)
+        assert not model.in_partition(20.0)  # partition_end fires at t=20.0
+        assert model.drop_probability(29.999999) == 0.0
+        assert model.drop_probability(30.0) == 1.0
+
     def test_drop_schedule_overlays_base_probability(self):
         model = NetworkModel(
             NetworkConfig(drop_prob=0.1),
@@ -296,6 +310,15 @@ class TestScenarioRuns:
         assert report.counts["still_queued"] == 0
         assert report.counts["delivered"] == report.counts["enqueued"]
         assert report.counts["dead_lettered"] == 0
+
+    def test_fault_end_on_the_last_microsecond_is_reached(self):
+        scenario = scenario_base(
+            duration_s=900.0,
+            faults=FaultsConfig(partitions=(Partition(100.0000004, 900.0000004),)),
+        )
+        trace, _ = run(scenario)
+        assert [e.t for e in trace.by_kind("partition_start")] == [100.0]
+        assert [e.t for e in trace.by_kind("partition_end")] == [900.0]
 
     def test_fault_events_fire_in_time_then_registration_order(self):
         # Partitions are listed out of order; the one still open at the end
@@ -424,6 +447,23 @@ class TestScenarioRuns:
         assert seqs == sorted(seqs)
 
 
+FAULTY_SCENARIO = """\
+seed: 3
+duration_s: 1800
+devices:
+  - {device_id: AC_001, role: access}
+  - {device_id: AC_002, role: access}
+workload:
+  access: {process: poisson, rate_per_s: 0.05, authorized_fraction: 0.7}
+authz:
+  - {uid: A1B2C3D4}
+network: {ack_drop_prob: 0.2}
+faults:
+  sink_outages: [{start_s: 300, end_s: 700}]
+  drop_windows: [{start_s: 900, end_s: 1100, prob: 0.5}]
+"""
+
+
 class TestSocketBinding:
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
     def test_bundled_scenario_outputs_match_the_inprocess_run(
@@ -435,6 +475,20 @@ class TestSocketBinding:
         socket_yaml.write_text(text + "\nsink:\n  mode: socket\n", encoding="utf-8")
         for source, out in ((SCENARIOS / f"{name}.yaml", "inprocess"), (socket_yaml, "socket")):
             assert cli.main(["run", str(source), "--out", str(tmp_path / out)]) == 0
+        for output in ("trace.jsonl", "report.json", "sink.json"):
+            inprocess = (tmp_path / "inprocess" / output).read_bytes()
+            assert (tmp_path / "socket" / output).read_bytes() == inprocess, output
+
+    def test_outputs_match_under_a_sink_outage_a_drop_window_and_ack_loss(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(cli.TOKEN_ENV, raising=False)
+        for mode in ("inprocess", "socket"):
+            source = tmp_path / f"{mode}.yaml"
+            source.write_text(f"{FAULTY_SCENARIO}sink:\n  mode: {mode}\n", encoding="utf-8")
+            assert cli.main(["run", str(source), "--out", str(tmp_path / mode)]) == 0
+        trace = (tmp_path / "socket" / "trace.jsonl").read_text(encoding="utf-8")
+        assert '"reason":"unavailable"' in trace  # the sink refused over the wire
         for output in ("trace.jsonl", "report.json", "sink.json"):
             inprocess = (tmp_path / "inprocess" / output).read_bytes()
             assert (tmp_path / "socket" / output).read_bytes() == inprocess, output

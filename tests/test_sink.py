@@ -22,7 +22,6 @@ from edgegate.sink import (
     StaleRecordError,
     UnauthorizedError,
     UnavailableError,
-    export_csv,
     state_to_csv,
     state_to_json,
 )
@@ -153,12 +152,12 @@ class TestQueryPolicy:
 
 class TestExportCsv:
     def test_empty_table_is_header_only(self):
-        assert CloudSink().export_csv() == (",".join(CSV_COLUMNS) + "\n").encode()
+        assert state_to_csv(CloudSink().state_dict()) == (",".join(CSV_COLUMNS) + "\n").encode()
 
     def test_listing_row_values(self, listing_record):
         sink = CloudSink()
         sink.append(TOKEN, codec.encode(listing_record), T0)
-        lines = sink.export_csv().decode().splitlines()
+        lines = state_to_csv(sink.state_dict()).decode().splitlines()
         assert len(lines) == 2
         assert lines[1] == (
             "0,AC_001,2024-01-15T14:30:45Z,access_granted,0,"
@@ -170,22 +169,22 @@ class TestExportCsv:
         for i in range(4):
             sink.append(TOKEN, codec.encode(record(i)), T0)
         sink.append(TOKEN, codec.encode(record(2)), T0)  # dedup
-        lines = sink.export_csv().decode().splitlines()
+        lines = state_to_csv(sink.state_dict()).decode().splitlines()
         assert len(lines) == 5
 
     def test_boolean_data_renders_lowercase(self):
         sink = CloudSink()
         rec = CloudRecord(DeviceId("SM_001"), T0, "status", {"armed": True}, 0)
         sink.append(TOKEN, codec.encode(rec), T0)
-        assert "armed=true" in sink.export_csv().decode()
+        assert "armed=true" in state_to_csv(sink.state_dict()).decode()
 
 
 class TestStateSnapshot:
-    def test_round_trips_through_csv(self, listing_record):
+    def test_round_trips_through_the_snapshot_file(self, listing_record):
         sink = CloudSink()
         sink.append(TOKEN, codec.encode(listing_record), T0)
         state = sink.state_dict()
-        assert state_to_csv(state) == export_csv(sink.table)
+        assert state_to_csv(json.loads(state_to_json(state))) == state_to_csv(state)
 
     def test_key_on_two_rows_is_an_error(self):
         state = snapshot(record(0), record(1))
@@ -326,6 +325,13 @@ def reference_parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
             raise SchemaError(
                 f"data value for {k!r} must be string/integer/boolean, got {type(v).__name__}"
             )
+    # A record that no UTF-8 snapshot could hold is refused too.
+    for k, v in data.items():
+        for part, value in (("key", k), ("value for", v)):
+            try:
+                str(value).encode("utf-8")
+            except UnicodeEncodeError:
+                raise SchemaError(f"data {part} {k!r} holds a lone surrogate") from None
     return CloudRecord(device_id, timestamp, event_type, dict(data), seq), seq_present
 
 
@@ -437,9 +443,9 @@ def mutated_payloads(draw) -> bytes:
             obj[key] = draw(st.sampled_from(_BAD_VALUES[key]))
         elif how == "no_seq":
             obj.pop("seq", None)
-        elif how == "lone_surrogate":  # escaped it parses; raw it is not UTF-8
+        elif how == "lone_surrogate":  # escaped it is refused; raw it is not UTF-8
             obj["data"] = {**(obj.get("data") if isinstance(obj.get("data"), dict) else {}),
-                           "s": "\udc00"}
+                           **draw(st.sampled_from([{"s": "\udc00"}, {"\ud800": "v"}]))}
         elif how == "deep":
             return _DEEP
     if draw(st.booleans()):  # senders may reorder the keys
@@ -463,6 +469,7 @@ class TestAgainstTheReferenceAppend:
     @example([faulty(seq=-1, data={"f": 1.5}), faulty(seq=True), faulty(seq=2, data=[])])
     @example([faulty(event_type="bogus", device_id=7), faulty(device_id="ac-1", timestamp=0)])
     @example([faulty(extra=1, data=None), faulty(seq=None, timestamp="yesterday")])
+    @example([faulty(data={"k": "\udc00"}), faulty(seq=1, data={"\ud800": 1, "f": 1.5})])
     def test_same_verdicts_and_rows(self, payloads):
         sink, reference = CloudSink(), ReferenceTable()
         for n, payload in enumerate(payloads):
@@ -475,27 +482,14 @@ class TestAgainstTheReferenceAppend:
         ]
         assert sink.state_dict() == reference.state_dict()
         assert len(sink.table) == len(reference.rows)
-        assert streamed(sink) == joined(reference.state_dict())
+        assert streamed(sink) == state_to_json(reference.state_dict())
 
 
-def streamed(sink: CloudSink) -> bytes | type:
-    """What ``write_state`` wrote, or the type of its error: a lone
-    surrogate has no UTF-8 form, and the message of that error gives its
-    position within the piece being encoded."""
+def streamed(sink: CloudSink) -> bytes:
+    """What ``write_state`` wrote."""
     written = io.BytesIO()
-    try:
-        sink.write_state(written.write)
-    except UnicodeEncodeError as exc:
-        return type(exc)
+    sink.write_state(written.write)
     return written.getvalue()
-
-
-def joined(state: dict) -> bytes | type:
-    """``state_to_json(state)``, or the type of its error."""
-    try:
-        return state_to_json(state)
-    except UnicodeEncodeError as exc:
-        return type(exc)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

@@ -20,7 +20,6 @@ from edgegate.sync import (
     SyncClient,
     SyncError,
     backoff_delay,
-    queue_depth,
 )
 
 from helpers import drain
@@ -61,7 +60,7 @@ class TestOutboxQueue:
     def test_enqueue_and_depth(self):
         q = OutboxQueue()
         q.enqueue(record(0), 0.0)
-        assert queue_depth(q) == 1
+        assert q.depth() == 1
 
     def test_fifo_order(self):
         q = OutboxQueue()

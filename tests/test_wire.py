@@ -8,7 +8,7 @@ import time
 import pytest
 
 from edgegate import codec
-from edgegate.codec import CloudRecord, ParseError, UnknownEventTypeError
+from edgegate.codec import CloudRecord, ParseError, SchemaError, UnknownEventTypeError
 from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.scenario import NetworkConfig
 from edgegate.sim import NetworkModel, SimClock, SimTransport
@@ -31,7 +31,8 @@ def record(seq: int, device: str = "AC_001") -> CloudRecord:
 def server():
     sink = CloudSink(TOKEN)
     sink.seed_policies([always_open_policy("A1B2C3D4")])
-    with SinkServer(sink) as srv:
+    # Its clock stands still at T0, the time an in-process twin is given.
+    with SinkServer(sink, clock=SimClock(T0)) as srv:
         yield srv
 
 
@@ -96,9 +97,11 @@ class TestSocketParity:
         assert policy == always_open_policy("A1B2C3D4")
         assert remote.query_policy(TOKEN, Uid("FFFFFFFF")) is None
 
-    def test_export_matches_local(self, server, remote):
+    def test_rows_match_local(self, server, remote):
         remote.append(TOKEN, codec.encode(record(0)))
-        assert remote.export_csv() == server.sink.export_csv()
+        twin = CloudSink(TOKEN)
+        twin.append(TOKEN, codec.encode(record(0)), T0)
+        assert server.sink.state_dict() == twin.state_dict()
 
     def test_error_mapping(self, server, remote):
         with pytest.raises(UnauthorizedError):
@@ -128,7 +131,7 @@ class TestSocketParity:
         remote_rows = [remote.append(TOKEN, p) for p in payloads]
         local_rows = [twin.append(TOKEN, p, T0) for p in payloads]
         assert remote_rows == local_rows
-        assert remote.export_csv() == twin.export_csv()
+        assert server.sink.state_dict() == twin.state_dict()
 
 
 class TestConcurrentAppends:
@@ -193,13 +196,27 @@ def append_lone_surrogate(sock: socket.socket) -> dict:
     return read_frame(sock)
 
 
+def send_unknown_op(sock: socket.socket) -> dict:
+    write_frame(sock, {"op": "EXPORT"})
+    return read_frame(sock)
+
+
 class TestUnencodableRecord:
-    def test_lone_surrogate_is_a_parse_error_and_connection_survives(self, server):
+    @pytest.mark.parametrize(
+        "send, error, message",
+        [
+            (append_lone_surrogate, "parse", "payload is not UTF-8"),
+            (send_unknown_op, "bad_request", "unknown op: 'EXPORT'"),
+        ],
+        ids=["lone_surrogate", "unknown_op"],
+    )
+    def test_error_reply_and_the_connection_survives(self, server, send, error, message):
         good = codec.encode(record(0)).decode("utf-8")
         with socket.create_connection(server.address, timeout=5) as sock:
-            reply = append_lone_surrogate(sock)
+            reply = send(sock)
             assert reply["ok"] is False
-            assert reply["error"] == "parse"
+            assert reply["error"] == error
+            assert reply["message"].startswith(message)
             write_frame(sock, {"op": "APPEND", "token": TOKEN, "record": good})
             assert read_frame(sock) == {"ok": True, "row_index": 0}
         assert len(server.sink.table) == 1
@@ -212,14 +229,26 @@ class TestUnencodableRecord:
             reply = append_lone_surrogate(sock)
         assert reply == {"ok": False, "error": "parse", "message": str(local.value)}
 
-    def test_non_utf8_bytes_fail_alike_on_both_bindings(self, server, remote):
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            (b"\xff\xfe", ParseError),
+            # UTF-8 bytes, but the escape decodes to a string with no UTF-8 form.
+            (codec.encode(record(0)).replace(b'"data":{}', b'"data":{"k":"\\udc00"}'),
+             SchemaError),
+        ],
+        ids=["not_utf8", "escaped_lone_surrogate"],
+    )
+    def test_unencodable_records_fail_alike_on_both_bindings(
+        self, server, remote, payload, error
+    ):
         twin = CloudSink(TOKEN)
         errors = []
         for append in (lambda b: twin.append(TOKEN, b, T0), lambda b: remote.append(TOKEN, b)):
             with pytest.raises(Exception) as caught:
-                append(b"\xff\xfe")
+                append(payload)
             errors.append((type(caught.value), str(caught.value)))
-        assert errors[0][0] is ParseError
+        assert errors[0][0] is error
         assert errors[1] == errors[0]
         assert len(server.sink.table) == 0
 
@@ -392,7 +421,7 @@ class TestClientClosesOnWireError:
 def unstarted_server():
     sink = CloudSink(TOKEN)
     sink.seed_policies([always_open_policy("A1B2C3D4")])
-    server = SinkServer(sink)
+    server = SinkServer(sink, clock=SimClock(T0))
     yield server
     server.stop()
 
@@ -419,7 +448,7 @@ class TestInlineClient:
             TOKEN, Uid("A1B2C3D4")
         )
         assert inline.query_policy(TOKEN, Uid("FFFFFFFF")) is None
-        assert inline.export_csv() == twin.export_csv()
+        assert unstarted_server.sink.state_dict() == twin.state_dict()
         with pytest.raises(UnauthorizedError):
             inline.append("wrong", payloads[0])
         unstarted_server.sink.available = False
@@ -430,12 +459,20 @@ class TestInlineClient:
         """One thread writes and reads both ends, so neither end may block
         on a full socket buffer."""
         big = CloudRecord(DeviceId("AC_001"), T0, "status", {"blob": "x" * (4 << 20)}, 0)
+        # The reply to a record with a 4 MiB event type quotes it back.
+        bad_type = codec.encode(big).replace(b'"status"', b'"' + b"y" * (4 << 20) + b'"')
+        twin = CloudSink(TOKEN)
+        twin.append(TOKEN, codec.encode(big), T0)
+        with pytest.raises(UnknownEventTypeError) as local:
+            twin.append(TOKEN, bad_type, T0)
         started = time.perf_counter()
         assert inline.append(TOKEN, codec.encode(big)) == 0
-        csv = inline.export_csv()
+        with pytest.raises(UnknownEventTypeError) as over_wire:
+            inline.append(TOKEN, bad_type)
         assert time.perf_counter() - started < 10.0
-        assert len(csv) >= 2 << 20
-        assert csv == unstarted_server.sink.export_csv()
+        assert len(str(over_wire.value)) >= 4 << 20
+        assert str(over_wire.value) == str(local.value)
+        assert unstarted_server.sink.state_dict() == twin.state_dict()
 
     def test_connect_refuses_a_started_server(self):
         with SinkServer(CloudSink(TOKEN)) as server:
@@ -563,12 +600,12 @@ class TestFaultsStayInOneConnection:
         assert remote.append(TOKEN, codec.encode(record(0))) == 0
 
     def test_unexpected_error_in_a_request(self, server, remote, monkeypatch):
-        def boom():
+        def boom(token, uid):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(server.sink, "export_csv", boom)
+        monkeypatch.setattr(server.sink, "query_policy", boom)
         with socket.create_connection(server.address, timeout=5) as sock:
-            write_frame(sock, {"op": "EXPORT"})
+            write_frame(sock, {"op": "QUERY", "token": TOKEN, "uid": "A1B2C3D4"})
             reply = read_frame(sock)
             assert reply["error"] == "bad_request"
             assert reply["message"] == "request failed: RuntimeError: boom"
