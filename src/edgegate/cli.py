@@ -126,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             sink_partial.unlink(missing_ok=True)
         print(f"{failure}: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(metrics_mod.render_report(report, "text").decode("utf-8"))
+    sys.stdout.write(metrics_mod.render_report(report).decode("utf-8"))
     print(f"wrote {out_dir / 'trace.jsonl'}, {out_dir / 'report.json'}, {out_dir / 'sink.json'}")
     return 0
 

@@ -305,15 +305,6 @@ def _count_matched(times: list[float], others: list[float]) -> int:
 # ---------------------------------------------------------------------------
 # Rendering
 
-def render_report(report: MetricsReport, fmt: str = "json") -> bytes:
-    """Render as canonical JSON or a text table."""
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "text":
-        return _render_text(report)
-    raise MetricsError(f"unknown report format: {fmt!r}")
-
-
 def _fmt(value, suffix: str = "") -> str:
     if value is None:
         return "n/a"
@@ -322,7 +313,8 @@ def _fmt(value, suffix: str = "") -> str:
     return f"{value}{suffix}"
 
 
-def _render_text(report: MetricsReport) -> bytes:
+def render_report(report: MetricsReport) -> bytes:
+    """Render as a text table."""
     lines = [
         "edgegate run report",
         "-------------------",

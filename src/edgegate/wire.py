@@ -1,11 +1,14 @@
 """Socket binding for the mock cloud sink.
 
 Framing: every request and response is a 4-byte big-endian length prefix
-followed by a UTF-8 JSON body. Requests carry an ``op`` of APPEND or QUERY;
-responses carry ``ok`` plus either the result fields or an ``error`` code
-that maps one-to-one onto the in-process exception types, so a client
-talking over the socket observes exactly the behavior of a local sink. Any
-other ``op`` gets a ``bad_request`` reply, and the connection stays open.
+followed by a body. A body is one line of compact UTF-8 JSON, the header;
+an APPEND request's header is followed by a line feed and then the record
+bytes as the device encoded them, which the server hands to the sink
+unchanged. Requests carry an ``op`` of APPEND or QUERY; responses carry
+``ok`` plus either the result fields or an ``error`` code that maps
+one-to-one onto the in-process exception types, so a client talking over
+the socket observes exactly the behavior of a local sink. Any other ``op``
+gets a ``bad_request`` reply, and the connection stays open.
 
 One non-blocking ``selectors`` loop serves every connection, on a thread of
 its own (``SinkServer.start``, ``serve_forever``). An unstarted server serves
@@ -49,12 +52,13 @@ _ERROR_CODES: tuple[tuple[str, type[Exception]], ...] = (
 )
 _MAPPED_ERRORS = tuple(cls for _, cls in _ERROR_CODES)
 
-# Any well-formed uid: a query for it checks only the token and availability.
-_PROBE_UID = Uid("00000000")
 
-
-def _frame(obj: dict) -> bytes:
+def _frame(obj: dict, payload: bytes | None = None) -> bytes:
+    """The frame of header ``obj``, followed by a line feed and ``payload``
+    when one is given. Compact JSON holds no raw line feed."""
     body = codec.compact_json(obj).encode("utf-8")
+    if payload is not None:
+        body = b"%s\n%s" % (body, payload)
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame too large: {len(body)} bytes")
     return _LEN.pack(len(body)) + body
@@ -77,33 +81,26 @@ def _parse_body(body: bytes | bytearray) -> dict:
     return obj
 
 
-def _take_frame(buf: bytearray) -> dict | None:
-    """Remove the first whole frame from ``buf`` and return its body; None
-    while that frame has not fully arrived."""
+def _take_frame(buf: bytearray) -> tuple[dict, bytes] | None:
+    """Remove the first whole frame from ``buf`` and return its header and
+    the bytes after the header's line feed (empty without one); None while
+    that frame has not fully arrived."""
     if len(buf) < _LEN.size:
         return None
     end = _LEN.size + _body_length(buf)
     if len(buf) < end:
         return None
-    obj = _parse_body(buf[_LEN.size:end])
+    header, _, payload = bytes(buf[_LEN.size:end]).partition(b"\n")
+    obj = _parse_body(header)
     del buf[:end]
-    return obj
+    return obj, payload
 
 
-def _handle_request(sink: CloudSink, clock: ClockPort, request: dict) -> dict:
+def _handle_request(sink: CloudSink, clock: ClockPort, request: dict, payload: bytes) -> dict:
     op = request.get("op")
     try:
         if op == "APPEND":
-            record_text = request.get("record")
-            if not isinstance(record_text, str):
-                return _err("bad_request", "APPEND requires a 'record' string")
-            # A lone surrogate (JSON "\ud800") has no UTF-8 form; passing it
-            # through as raw bytes gets the sink's own "not UTF-8" parse error.
-            row = sink.append(
-                str(request.get("token", "")),
-                record_text.encode("utf-8", "surrogatepass"),
-                clock.now_ts(),
-            )
+            row = sink.append(str(request.get("token", "")), payload, clock.now_ts())
             return {"ok": True, "row_index": row}
         if op == "QUERY":
             uid_text = request.get("uid")
@@ -279,7 +276,7 @@ class SinkServer:
                 request = _take_frame(conn.rbuf)
                 if request is None:
                     return
-                conn.wbuf += _frame(_handle_request(self.sink, self._clock, request))
+                conn.wbuf += _frame(_handle_request(self.sink, self._clock, *request))
             except WireError as exc:
                 self._reject(conn, str(exc))
                 return
@@ -388,8 +385,8 @@ class RemoteSink:
                 self._sock = None
                 self._peer = None
 
-    def _call(self, request: dict) -> dict:
-        frame = _frame(request)
+    def _call(self, request: dict, payload: bytes | None = None) -> dict:
+        frame = _frame(request, payload)
         with self._lock:
             # Any failure leaves the stream at an unknown offset: a reply
             # read after it could belong to this request, so reconnect.
@@ -417,7 +414,7 @@ class RemoteSink:
         while True:
             reply = _take_frame(buf)
             if reply is not None:
-                return reply
+                return reply[0]
             try:
                 data = sock.recv(_RECV_BYTES)
             except BlockingIOError:
@@ -428,16 +425,7 @@ class RemoteSink:
             buf += data
 
     def append(self, token: str, record_bytes: bytes, received_at=None) -> int:
-        try:
-            record = codec.utf8_text(record_bytes)
-        except codec.ParseError:
-            # Bytes that are not UTF-8 cannot travel in a JSON frame. The
-            # in-process sink checks the token and its availability before
-            # it parses, so ask the server the same through a read-only
-            # query, then fail with the sink's own parse error.
-            self.query_policy(token, _PROBE_UID)
-            raise
-        response = self._call({"op": "APPEND", "token": token, "record": record})
+        response = self._call({"op": "APPEND", "token": token}, record_bytes)
         self._raise_on_error(response)
         return int(response["row_index"])
 

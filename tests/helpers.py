@@ -3,15 +3,15 @@
 ``decide`` and ``drain`` step a ``SimClock`` one callback at a time until
 an engine has decided a request or a sync client has emptied its queue.
 ``read_frame`` and ``write_frame`` are blocking socket ends for the wire's
-length-prefixed JSON frames; the sink's own ends work on a buffer per
-connection instead.
+length-prefixed frames, a JSON header line and an optional payload; the
+sink's own ends work on a buffer per connection instead.
 """
 
 from __future__ import annotations
 
 import socket
 
-from edgegate.wire import _LEN, WireError, _body_length, _frame, _parse_body
+from edgegate.wire import _LEN, WireError, _body_length, _frame, _take_frame
 
 # The events that end a request: exactly one of them per handle_request.
 DECISION_KINDS = frozenset(("auth_decision", "rejected_input", "gate_busy"))
@@ -52,19 +52,20 @@ def drain(client, clock) -> None:
     raise AssertionError(f"queue not empty after {DRAIN_BUDGET} events")
 
 
-def write_frame(sock: socket.socket, obj: dict) -> None:
-    sock.sendall(_frame(obj))
+def write_frame(sock: socket.socket, obj: dict, payload: bytes | None = None) -> None:
+    sock.sendall(_frame(obj, payload))
 
 
-def read_frame(sock: socket.socket) -> dict | None:
-    """Next frame as a dict, or None on clean EOF at a frame boundary."""
+def read_frame(sock: socket.socket) -> tuple[dict, bytes] | None:
+    """Next frame as its header dict and payload bytes (empty when it has
+    none), or None on clean EOF at a frame boundary."""
     header = _read_exact(sock, _LEN.size)
     if header is None:
         return None
     body = _read_exact(sock, _body_length(header))
     if body is None:
         raise WireError("connection closed mid-frame")
-    return _parse_body(body)
+    return _take_frame(bytearray(header + body))
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import edgegate
-from edgegate import sim
+from edgegate import codec, sim
 from edgegate.cli import TOKEN_ENV, effective_token, main
-from edgegate.core import Uid
+from edgegate.core import DeviceId, Timestamp, Uid
 from edgegate.sink import DEFAULT_TOKEN
 from edgegate.wire import RemoteSink
 
@@ -326,9 +326,13 @@ class TestServeSink:
                 line = proc.stdout.readline()
                 assert line.startswith("sink listening on ")
                 host, port = line.split()[-1].rsplit(":", 1)
+                record = codec.CloudRecord(DeviceId("AC_001"), Timestamp(0), "status", {}, 0)
                 remote = RemoteSink(host, int(port))
                 try:
                     policy = remote.query_policy(DEFAULT_TOKEN, Uid("A1B2C3D4"))
+                    assert remote.append(DEFAULT_TOKEN, codec.encode(record)) == 0
+                    with pytest.raises(codec.ParseError, match="not UTF-8"):
+                        remote.append(DEFAULT_TOKEN, b"\xff\xfe")
                 finally:
                     remote.close()
                 assert policy is not None and policy.uid == Uid("A1B2C3D4")

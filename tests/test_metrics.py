@@ -132,12 +132,8 @@ class TestConfusionMatrix:
 class TestRendering:
     def test_text_renders_absent_as_na(self):
         report = compute_metrics(EventTrace(), GroundTruth())
-        text = render_report(report, "text").decode()
+        text = render_report(report).decode()
         assert "auth accuracy     n/a" in text
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            render_report(MetricsReport(), "xml")
 
 
 class TestReplayConsistency:

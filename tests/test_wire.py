@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from edgegate import codec
 from edgegate.codec import CloudRecord, ParseError, SchemaError, UnknownEventTypeError
@@ -14,7 +15,7 @@ from edgegate.scenario import NetworkConfig
 from edgegate.sim import NetworkModel, SimClock, SimTransport
 from edgegate.sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableError
 from edgegate.sync import SyncClient
-from edgegate.wire import MAX_FRAME_BYTES, RemoteSink, SinkServer, WireError
+from edgegate.wire import MAX_FRAME_BYTES, RemoteSink, SinkServer, WireError, _frame, _take_frame
 
 from conftest import always_open_policy
 from helpers import drain, read_frame, write_frame
@@ -25,6 +26,11 @@ T0 = Timestamp.from_iso8601("2024-01-15T14:30:45Z")
 
 def record(seq: int, device: str = "AC_001") -> CloudRecord:
     return CloudRecord(DeviceId(device), T0, "status", {}, seq)
+
+
+def framed(body: bytes) -> bytes:
+    """``body`` behind its length prefix, whatever it holds."""
+    return len(body).to_bytes(4, "big") + body
 
 
 @pytest.fixture
@@ -48,7 +54,9 @@ class TestFraming:
         a, b = socket.socketpair()
         try:
             write_frame(a, {"op": "EXPORT", "n": 7})
-            assert read_frame(b) == {"op": "EXPORT", "n": 7}
+            write_frame(a, {"op": "APPEND"}, b"\xff\n{}")
+            assert read_frame(b) == ({"op": "EXPORT", "n": 7}, b"")
+            assert read_frame(b) == ({"op": "APPEND"}, b"\xff\n{}")
         finally:
             a.close()
             b.close()
@@ -80,6 +88,36 @@ class TestFraming:
         finally:
             a.close()
             b.close()
+
+
+_headers = st.dictionaries(
+    st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.text(max_size=16),
+    max_size=4,
+)
+# Any bytes, and runs of line feeds, bytes that are not UTF-8 and JSON.
+_payloads = st.binary(max_size=64) | st.lists(
+    st.sampled_from([b"\n", b"\r\n", b"\xff", b"\xfe", b"\xed\xa0\x80", b"{}", b'"\\n"'])
+).map(b"".join)
+
+
+@given(header=_headers, payload=_payloads, sizes=st.lists(st.integers(1, 32), max_size=100))
+def test_any_header_and_payload_survive_framing_in_any_chunks(header, payload, sizes):
+    """A frame with a payload, then one without, fed to ``_take_frame`` in
+    chunks of any size, come back whole and unchanged, and not before."""
+    stream = _frame(header, payload) + _frame({"op": "QUERY"})
+    buf = bytearray()
+    taken = []
+    steps = iter(sizes)
+    pos = 0
+    while pos < len(stream):
+        step = next(steps, len(stream))
+        buf += stream[pos:pos + step]
+        pos += step
+        while (frame := _take_frame(buf)) is not None:
+            taken.append(frame)
+    assert taken == [(header, payload), ({"op": "QUERY"}, b"")]
+    assert not buf
 
 
 class TestSocketParity:
@@ -189,16 +227,15 @@ class TestServerLifecycle:
 
 
 def append_lone_surrogate(sock: socket.socket) -> dict:
-    """APPEND a record holding the JSON escape "\\ud800": valid JSON, but the
-    string it decodes to has no UTF-8 form."""
-    body = ('{"op":"APPEND","token":"%s","record":"\\ud800"}' % TOKEN).encode()
-    sock.sendall(len(body).to_bytes(4, "big") + body)
-    return read_frame(sock)
+    """APPEND the bytes a lone surrogate "\\ud800" would encode to, which
+    are not UTF-8."""
+    write_frame(sock, {"op": "APPEND", "token": TOKEN}, "\ud800".encode("utf-8", "surrogatepass"))
+    return read_frame(sock)[0]
 
 
 def send_unknown_op(sock: socket.socket) -> dict:
     write_frame(sock, {"op": "EXPORT"})
-    return read_frame(sock)
+    return read_frame(sock)[0]
 
 
 class TestUnencodableRecord:
@@ -211,14 +248,13 @@ class TestUnencodableRecord:
         ids=["lone_surrogate", "unknown_op"],
     )
     def test_error_reply_and_the_connection_survives(self, server, send, error, message):
-        good = codec.encode(record(0)).decode("utf-8")
         with socket.create_connection(server.address, timeout=5) as sock:
             reply = send(sock)
             assert reply["ok"] is False
             assert reply["error"] == error
             assert reply["message"].startswith(message)
-            write_frame(sock, {"op": "APPEND", "token": TOKEN, "record": good})
-            assert read_frame(sock) == {"ok": True, "row_index": 0}
+            write_frame(sock, {"op": "APPEND", "token": TOKEN}, codec.encode(record(0)))
+            assert read_frame(sock) == ({"ok": True, "row_index": 0}, b"")
         assert len(server.sink.table) == 1
 
     def test_same_error_as_inprocess_sink(self, server):
@@ -236,8 +272,9 @@ class TestUnencodableRecord:
             # UTF-8 bytes, but the escape decodes to a string with no UTF-8 form.
             (codec.encode(record(0)).replace(b'"data":{}', b'"data":{"k":"\\udc00"}'),
              SchemaError),
+            (b"", ParseError),
         ],
-        ids=["not_utf8", "escaped_lone_surrogate"],
+        ids=["not_utf8", "escaped_lone_surrogate", "empty"],
     )
     def test_unencodable_records_fail_alike_on_both_bindings(
         self, server, remote, payload, error
@@ -289,13 +326,13 @@ class TestCloseAfterAppend:
         def closes_after_the_first_append():
             first, _ = listener.accept()
             with first, socket.create_connection(server.address, timeout=5) as upstream:
-                write_frame(upstream, read_frame(first))
-                acks.append(read_frame(upstream))  # stored, never forwarded
+                write_frame(upstream, *read_frame(first))
+                acks.append(read_frame(upstream)[0])  # stored, never forwarded
             second, _ = listener.accept()
             with second, socket.create_connection(server.address, timeout=5) as upstream:
                 while (request := read_frame(second)) is not None:
-                    write_frame(upstream, request)
-                    write_frame(second, read_frame(upstream))
+                    write_frame(upstream, *request)
+                    write_frame(second, read_frame(upstream)[0])
 
         proxy = threading.Thread(target=closes_after_the_first_append, daemon=True)
         proxy.start()
@@ -340,6 +377,8 @@ class TestServerFramingErrors:
             (b"\x00\x00\x00\x02[]", "must be a JSON object"),
             (b"\x00\x00\x00\x09{\"op\"", "closed mid-frame"),
             (b"\x00\x00", "closed mid-frame"),
+            # The header is judged alone; its payload, a record, is not stored.
+            (framed(b'{"op":"APPEND",\n' + codec.encode(record(0, "AC_002"))), "bad frame body"),
         ],
     )
     def test_bad_request_then_close(self, server, remote, raw, message):
@@ -347,7 +386,7 @@ class TestServerFramingErrors:
             sock.sendall(raw)
             if "mid-frame" in message:
                 sock.shutdown(socket.SHUT_WR)
-            reply = read_frame(sock)
+            reply, _ = read_frame(sock)
             assert reply["ok"] is False
             assert reply["error"] == "bad_request"
             assert message in reply["message"]
@@ -490,8 +529,20 @@ class TestInlineClient:
     def test_each_call_serves_the_clients_own_peer(self, unstarted_server, inline, monkeypatch):
         assert inline.query_policy(TOKEN, Uid("FFFFFFFF")) is None  # attaches: accepts the peer
         rounds = count_loop_rounds(monkeypatch)
+        sent: list[bytes] = []
+        exchange = RemoteSink._exchange
+
+        def counted(client, sock, frame):
+            sent.append(frame)
+            return exchange(client, sock, frame)
+
+        monkeypatch.setattr(RemoteSink, "_exchange", counted)
         assert [inline.append(TOKEN, codec.encode(record(i))) for i in range(3)] == [0, 1, 2]
         assert inline.query_policy(TOKEN, Uid("A1B2C3D4")) is not None
+        with pytest.raises(ParseError, match="not UTF-8"):
+            inline.append(TOKEN, b"\xff\xfe")
+        assert len(sent) == 5  # one frame per call, bytes that are not UTF-8 too
+        assert sent[-1].endswith(b"\n\xff\xfe")
         assert rounds == []  # no call needed a round of the loop
 
     def test_a_peer_with_no_bytes_yet_is_served_by_the_loop(
@@ -583,8 +634,8 @@ class TestFaultsStayInOneConnection:
 
     def test_nesting_too_deep_for_the_parser(self, server, remote):
         with socket.create_connection(server.address, timeout=5) as sock:
-            sock.sendall(len(self.DEEP).to_bytes(4, "big") + self.DEEP)
-            reply = read_frame(sock)
+            sock.sendall(framed(self.DEEP))
+            reply, _ = read_frame(sock)
             assert reply["error"] == "bad_request"
             assert "bad frame body" in reply["message"]
             assert read_frame(sock) is None
@@ -606,7 +657,7 @@ class TestFaultsStayInOneConnection:
         monkeypatch.setattr(server.sink, "query_policy", boom)
         with socket.create_connection(server.address, timeout=5) as sock:
             write_frame(sock, {"op": "QUERY", "token": TOKEN, "uid": "A1B2C3D4"})
-            reply = read_frame(sock)
+            reply, _ = read_frame(sock)
             assert reply["error"] == "bad_request"
             assert reply["message"] == "request failed: RuntimeError: boom"
             assert read_frame(sock) is None
