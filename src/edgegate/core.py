@@ -22,8 +22,8 @@ SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 
 # The one wire shape, ``YYYY-MM-DDTHH:MM:SSZ``: ASCII digits, zero-padded.
 _ISO_RE = re.compile(r"(\d{4}-\d\d-\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
-_UID_RE = re.compile(r"^[0-9A-F]{8}$")
-_DEVICE_ID_RE = re.compile(r"^[A-Za-z]+_[0-9]+$")
+_UID_RE = re.compile(r"[0-9A-F]{8}")
+_DEVICE_ID_RE = re.compile(r"[A-Za-z]+_[0-9]+")
 
 
 def bounded(default=MISSING, *, lo=None, hi=None, gt=None):
@@ -159,7 +159,7 @@ class Uid:
     value: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, str) or not _UID_RE.match(self.value):
+        if not isinstance(self.value, str) or not _UID_RE.fullmatch(self.value):
             raise CoreError(f"uid must be 8 uppercase hex chars, got {self.value!r}")
 
     def __str__(self) -> str:
@@ -175,7 +175,7 @@ class DeviceId:
     def __post_init__(self) -> None:
         if not isinstance(self.value, str) or not self.value:
             raise CoreError("device id must be a non-empty string")
-        if not _DEVICE_ID_RE.match(self.value):
+        if not _DEVICE_ID_RE.fullmatch(self.value):
             raise CoreError(f"device id must look like ROLE_NNN, got {self.value!r}")
 
     def __str__(self) -> str:

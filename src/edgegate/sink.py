@@ -12,8 +12,11 @@ can emulate outages that are distinct from network partitions.
 
 A row is kept as its received-at milliseconds and the record bytes that
 were validated on arrival, so it holds no object the garbage collector
-tracks; whatever reads rows decodes them. ``write_state`` streams the
-snapshot file row by row, and the CSV export, :func:`state_to_csv`, reads it.
+tracks. ``write_state`` streams the snapshot file row by row from those
+bytes. The CSV export, :func:`state_to_csv`, reads that file back and checks
+each row's record with the same validator the append path uses, then writes
+its line from the validated object; no record object is built on either
+side.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
 
 from . import codec
-from .codec import CloudRecord, DataValue
+from .codec import DataValue
 from .core import AccessPolicy, Timestamp, Uid
 
 DEFAULT_TOKEN = "edgegate-mock-token"
@@ -50,15 +53,6 @@ class StaleRecordError(SinkError):
     table is untouched."""
 
 
-class SheetRow:
-    __slots__ = ("row_index", "record", "received_at")
-
-    def __init__(self, row_index: int, record: CloudRecord, received_at: Timestamp) -> None:
-        self.row_index = row_index
-        self.record = record
-        self.received_at = received_at
-
-
 class SheetTable:
     """Append-only storage: rows never mutate, indices are dense from 0, and
     each device's rows are stored in ``seq`` order. Row ``i`` is the ``i``-th
@@ -72,13 +66,6 @@ class SheetTable:
 
     def __len__(self) -> int:
         return len(self._payloads)
-
-    @property
-    def rows(self) -> tuple[SheetRow, ...]:
-        return tuple(
-            SheetRow(row_index, codec.decode(payload), Timestamp(*divmod(ms, 1000)))
-            for row_index, ms, payload in self.stored()
-        )
 
     def stored(self) -> Iterator[tuple[int, int, bytes]]:
         """Each row as stored: index, received-at milliseconds, record bytes."""
@@ -144,8 +131,14 @@ class CloudSink:
         return {"rows": list(self._state_rows())}
 
     def write_state(self, write: Callable[[bytes], object]) -> None:
-        """Pass ``state_to_json(self.state_dict())`` to ``write`` in pieces,
-        one row at a time, without holding the whole snapshot."""
+        """Pass the UTF-8 of ``json.dumps(self.state_dict(), indent=2,
+        ensure_ascii=False) + "\n"`` to ``write`` in pieces, one row at a
+        time, without holding the whole snapshot.
+
+        With ``indent`` set, ``json.dumps`` falls back to its pure-Python
+        encoder. This writes the fixed row layout directly and encodes each
+        string with the C string encoder.
+        """
         for text in _state_text(self._state_rows()):
             write(text.encode("utf-8"))
 
@@ -156,28 +149,6 @@ class CloudSink:
                 "received_at": Timestamp(ms // 1000).iso8601(),
                 "record": codec.stored_envelope(payload),
             }
-
-
-def _csv_rows(rows: Iterable[SheetRow]) -> bytes:
-    """One line per row, header first, stable column order; the data map
-    flattens to semicolon-joined key=value pairs."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        record = row.record
-        flattened = ";".join(f"{k}={_csv_scalar(v)}" for k, v in record.data.items())
-        writer.writerow(
-            [
-                row.row_index,
-                record.device_id.value,
-                record.timestamp.iso8601(),
-                record.event_type,
-                record.seq,
-                flattened,
-            ]
-        )
-    return buf.getvalue().encode("utf-8")
 
 
 def _csv_scalar(value: object) -> str:
@@ -196,19 +167,8 @@ _ROW_HEAD = (
 _DATA_ITEM = "\n          "
 
 
-def state_to_json(state: dict) -> bytes:
-    """UTF-8 of ``json.dumps(state, indent=2, ensure_ascii=False) + "\n"``
-    for a :meth:`CloudSink.state_dict` snapshot.
-
-    With ``indent`` set, ``json.dumps`` falls back to its pure-Python
-    encoder. This writes the fixed row layout directly, row by row, and
-    encodes each string with the C string encoder.
-    """
-    return "".join(_state_text(state["rows"])).encode("utf-8")
-
-
 def _state_text(rows: Iterable[dict]) -> Iterator[str]:
-    """The text of :func:`state_to_json`, one piece per row."""
+    """The text :meth:`CloudSink.write_state` writes, one piece per row."""
     head = '{\n  "rows": ['
     for row in rows:
         record = row["record"]
@@ -243,26 +203,37 @@ def _json_scalar(value: DataValue) -> str:
 
 def state_to_csv(state: dict) -> bytes:
     """CSV export from a saved sink snapshot (the ``state_dict`` shape, else
-    ``ValueError``): one line per row, with its own ``row_index``. A key on two
-    rows raises ``SinkError`` naming both, as no row is left out silently."""
+    ``ValueError``): a header, then one line per row, with its own
+    ``row_index``; the data map flattens to semicolon-joined key=value pairs.
+    A key on two rows raises ``SinkError`` naming both, as no row is left out
+    silently."""
     snapshot_rows = state.get("rows", []) if isinstance(state, dict) else None
     if not isinstance(snapshot_rows, list):
         raise ValueError("expected an object with a list of rows")
-    rows: list[SheetRow] = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     seen: dict[str, int] = {}
     for n, row in enumerate(snapshot_rows):
         for name in ("row_index", "received_at", "record"):
             if not isinstance(row, dict) or name not in row:
                 raise ValueError(f"row {n}: missing {name!r}")
         try:
-            record = codec.decode(json.dumps(row["record"]).encode("utf-8"))
-            received_at = Timestamp.from_iso8601(row["received_at"])
+            # ASCII escapes keep a lone surrogate visible to the validator.
+            device, seq, obj = codec.validate_record(json.dumps(row["record"]).encode("utf-8"))
+            Timestamp.from_iso8601(row["received_at"])
         except ValueError as exc:
             raise ValueError(f"row {n}: {exc}") from None
         row_index = row["row_index"]
-        key = codec.idempotency_key(record)
+        if not isinstance(row_index, int) or isinstance(row_index, bool) or row_index < 0:
+            raise ValueError(
+                f"row {n}: row_index must be a non-negative integer, got {row_index!r}"
+            )
+        seq = seq or 0  # a record without ``seq`` reads as 0, as ``codec.decode`` gives it
+        key = f"{device}:{seq}"
         if key in seen:
             raise SinkError(f"key {key} is on two rows: row_index {seen[key]} and {row_index}")
         seen[key] = row_index
-        rows.append(SheetRow(row_index, record, received_at))
-    return _csv_rows(rows)
+        flattened = ";".join(f"{k}={_csv_scalar(v)}" for k, v in obj["data"].items())
+        writer.writerow([row_index, device, obj["timestamp"], obj["event_type"], seq, flattened])
+    return buf.getvalue().encode("utf-8")

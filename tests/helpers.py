@@ -4,13 +4,20 @@
 an engine has decided a request or a sync client has emptied its queue.
 ``read_frame`` and ``write_frame`` are blocking socket ends for the wire's
 length-prefixed frames, a JSON header line and an optional payload; the
-sink's own ends work on a buffer per connection instead.
+sink's own ends work on a buffer per connection instead. ``stored_rows``
+reads a sink table's rows back as decoded records, and ``streamed`` is the
+snapshot text a sink writes.
 """
 
 from __future__ import annotations
 
+import io
 import socket
+from typing import NamedTuple
 
+from edgegate import codec
+from edgegate.codec import CloudRecord
+from edgegate.core import Timestamp
 from edgegate.wire import _LEN, WireError, _body_length, _frame, _take_frame
 
 # The events that end a request: exactly one of them per handle_request.
@@ -79,3 +86,25 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
             return None
         chunks += part
     return chunks
+
+
+class StoredRow(NamedTuple):
+    row_index: int
+    received_at: Timestamp
+    record: CloudRecord
+
+
+def stored_rows(table) -> list[StoredRow]:
+    """Each row of a sink table as its index, received-at time and decoded
+    record."""
+    return [
+        StoredRow(row_index, Timestamp(*divmod(ms, 1000)), codec.decode(payload))
+        for row_index, ms, payload in table.stored()
+    ]
+
+
+def streamed(sink) -> bytes:
+    """What ``sink.write_state`` wrote: the ``sink.json`` a run saves."""
+    written = io.BytesIO()
+    sink.write_state(written.write)
+    return written.getvalue()

@@ -55,7 +55,7 @@ from edgegate.sink import CloudSink, StaleRecordError
 from edgegate.sync import OutboxConfig, OutboxQueue, RetryPolicy, SyncClient, backoff_delay
 from edgegate.trace import EventTrace, GroundTruth
 
-from helpers import decide, drain
+from helpers import decide, drain, stored_rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TOKEN = "edgegate-mock-token"
@@ -244,7 +244,7 @@ def test_06_outage_survival_24h():
     assert report.logging_success == 1.0
 
     # zero duplicate rows at the sink
-    rows = sim.sink.table.rows
+    rows = stored_rows(sim.sink.table)
     keys = [f"{r.record.device_id.value}:{r.record.seq}" for r in rows]
     assert len(keys) == len(set(keys))
 
@@ -527,7 +527,7 @@ def test_13_per_device_order_under_a_finite_retry_budget():
 
     assert report.counts["dead_lettered"] > 100
     seqs: dict[str, list[int]] = {}
-    for row in sim.sink.table.rows:
+    for row in stored_rows(sim.sink.table):
         seqs.setdefault(row.record.device_id.value, []).append(row.record.seq)
     assert set(seqs) == {"AC_001", "AC_002"}
     for device, order in seqs.items():

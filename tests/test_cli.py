@@ -250,6 +250,25 @@ class TestExport:
         assert main(["export", str(path), "--csv"]) == 1
         assert capsys.readouterr() == ("", f"cannot read sink state: {err}\n")
 
+    @pytest.mark.parametrize(
+        "row_index", [True, None, 1.5, -1, [1], "0"],
+        ids=["bool", "null", "float", "negative", "list", "string"],
+    )
+    def test_bad_row_index_exits_one(self, tmp_path, capsys, row_index):
+        record = {"device_id": "AC_001", "timestamp": "2024-01-15T14:30:45Z",
+                  "event_type": "status", "seq": 0, "data": {}}
+        rows = [{"row_index": 0, "received_at": "2024-01-15T14:30:45Z", "record": record},
+                {"row_index": row_index, "received_at": "2024-01-15T14:30:45Z",
+                 "record": {**record, "seq": 1}}]
+        path = tmp_path / "sink.json"
+        path.write_text(json.dumps({"rows": rows}))
+        assert main(["export", str(path), "--csv"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "cannot read sink state: row 1: row_index must be a non-negative integer, "
+            f"got {row_index!r}\n",
+        )
+
 
 class TestUnwritableOut:
     """An --out that cannot be written exits 2 with one line, not a traceback."""

@@ -135,14 +135,14 @@ class TestIdentity:
         assert Uid("A1B2C3D4").value == "A1B2C3D4"
 
     def test_uid_rejects_noncanonical(self):
-        for bad in ("a1b2c3d4", "A1B2C3", "A1B2C3D4E5", "GHIJKLMN", ""):
+        for bad in ("a1b2c3d4", "A1B2C3", "A1B2C3D4E5", "GHIJKLMN", "", "A1B2C3D4\n"):
             with pytest.raises(CoreError):
                 Uid(bad)
 
     def test_device_id_shape(self):
         assert DeviceId("AC_001").value == "AC_001"
         assert DeviceId("SM_12").value == "SM_12"
-        for bad in ("", "AC", "AC-001", "001_AC", "AC_"):
+        for bad in ("", "AC", "AC-001", "001_AC", "AC_", "AC_001\n", "\nAC_001"):
             with pytest.raises(CoreError):
                 DeviceId(bad)
 

@@ -34,9 +34,9 @@ from edgegate.scenario import (
     load_scenario,
 )
 from edgegate.sim import SimClock, Simulation, _flame_value, _stamp, split_rng
-from edgegate.sink import state_to_json
 
 from conftest import whole_run_settings
+from helpers import stored_rows, streamed
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -107,7 +107,7 @@ def outputs(simulation: Simulation) -> tuple[bytes, bytes, bytes]:
     return (
         trace.getvalue().encode("utf-8"),
         report.to_json(),
-        state_to_json(simulation.sink.state_dict()),
+        streamed(simulation.sink),
     )
 
 
@@ -251,7 +251,7 @@ class TestTieOrder:
     def test_anomaly_carries_only_an_earlier_scan(self):
         simulation = Simulation(self.scenario())
         simulation.run()
-        rows = [r.record for r in simulation.sink.table.rows]
+        rows = [r.record for r in stored_rows(simulation.sink.table)]
         anomalies = sorted(
             (r for r in rows if r.event_type == "flow_anomaly"), key=lambda r: r.device_id
         )

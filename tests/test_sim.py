@@ -44,6 +44,7 @@ from edgegate.trace import EventTrace, GroundTruth, TraceError
 from edgegate.wire import RemoteSink, SinkServer
 
 from conftest import always_open_policy
+from helpers import stored_rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -347,7 +348,7 @@ class TestScenarioRuns:
         scenario = scenario_base()
         sim = Simulation(scenario)
         trace, report = sim.run()
-        rows = sim.sink.table.rows
+        rows = stored_rows(sim.sink.table)
         assert [r.row_index for r in rows] == list(range(len(rows)))
         seqs = [r.record.seq for r in rows]
         assert seqs == sorted(seqs)  # single device: delivery order is seq order
@@ -392,7 +393,7 @@ class TestScenarioRuns:
                    if e.kind == "send_attempt" and e.data["attempt"] > 1]
         assert retries  # ack loss forced at least one retransmission
         keys = [f"{r.record.device_id.value}:{r.record.seq}"
-                for r in sim.sink.table.rows]
+                for r in stored_rows(sim.sink.table)]
         assert len(keys) == len(set(keys))
         assert report.counts["still_queued"] == 0
         assert report.counts["delivered"] == report.counts["enqueued"]
@@ -441,9 +442,9 @@ class TestScenarioRuns:
         trace, report = sim.run()
         assert report.counts["delivered"] == report.counts["enqueued"]
         keys = [f"{r.record.device_id.value}:{r.record.seq}"
-                for r in sim.sink.table.rows]
+                for r in stored_rows(sim.sink.table)]
         assert len(keys) == len(set(keys))
-        seqs = [r.record.seq for r in sim.sink.table.rows]
+        seqs = [r.record.seq for r in stored_rows(sim.sink.table)]
         assert seqs == sorted(seqs)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gc
 import io
@@ -17,16 +18,15 @@ from edgegate.sim import Simulation
 from edgegate.sink import (
     CSV_COLUMNS,
     CloudSink,
-    SheetRow,
     SinkError,
     StaleRecordError,
     UnauthorizedError,
     UnavailableError,
     state_to_csv,
-    state_to_json,
 )
 
 from conftest import always_open_policy
+from helpers import stored_rows, streamed
 
 TOKEN = "edgegate-mock-token"
 T0 = Timestamp.from_iso8601("2024-01-15T14:30:45Z")
@@ -74,6 +74,13 @@ class TestAppend:
         with pytest.raises(SchemaError):
             sink.append(TOKEN, json.dumps(obj).encode(), T0)
 
+    def test_device_id_with_a_trailing_line_feed_is_schema(self):
+        sink = CloudSink()
+        sink.append(TOKEN, faulty(device_id="AC_001"), T0)
+        with pytest.raises(SchemaError, match="device id must look like ROLE_NNN"):
+            sink.append(TOKEN, faulty(device_id="AC_001\n", seq=1), T0)
+        assert len(sink.table) == 1
+
     def test_seqless_records_get_arrival_order(self):
         sink = CloudSink()
         base = json.loads(codec.encode(record(0)))
@@ -82,7 +89,7 @@ class TestAppend:
         first = sink.append(TOKEN, payload, T0)
         second = sink.append(TOKEN, payload, T0)  # same bytes, still a new row
         assert (first, second) == (0, 1)
-        assert [row.record.seq for row in sink.table.rows] == [0, 1]
+        assert [row.record.seq for row in stored_rows(sink.table)] == [0, 1]
 
     def test_seqless_record_follows_the_devices_stored_seqs(self):
         sink = CloudSink()
@@ -94,7 +101,7 @@ class TestAppend:
         assert sink.append(TOKEN, seqless, T0) == 1
         assert sink.append(TOKEN, codec.encode(record(5)), T0) == 2
         assert sink.append(TOKEN, seqless, T0) == 3
-        assert [(row.record.seq, row.record.data) for row in sink.table.rows] == [
+        assert [(row.record.seq, row.record.data) for row in stored_rows(sink.table)] == [
             (0, {"a": 1}), (1, {"b": 2}), (5, {}), (6, {"b": 2}),
         ]
 
@@ -103,10 +110,10 @@ class TestAppend:
         payloads = [codec.encode(record(i)) for i in range(5)]
         for p in payloads[:3]:
             sink.append(TOKEN, p, T0)
-        snapshot = [(r.row_index, r.record) for r in sink.table.rows]
+        snapshot = [(r.row_index, r.record) for r in stored_rows(sink.table)]
         for p in payloads[3:]:
             sink.append(TOKEN, p, T0)
-        assert [(r.row_index, r.record) for r in sink.table.rows][:3] == snapshot
+        assert [(r.row_index, r.record) for r in stored_rows(sink.table)][:3] == snapshot
 
 
 class TestPerDeviceOrder:
@@ -116,7 +123,7 @@ class TestPerDeviceOrder:
             sink.append(TOKEN, codec.encode(record(seq)), T0)
         with pytest.raises(StaleRecordError, match="AC_001:1 is below AC_001's stored seq 2"):
             sink.append(TOKEN, codec.encode(record(1)), T0)
-        assert [row.record.seq for row in sink.table.rows] == [0, 2]
+        assert [row.record.seq for row in stored_rows(sink.table)] == [0, 2]
         # Gaps are allowed, and one device's seq does not fence another's.
         assert sink.append(TOKEN, codec.encode(record(9)), T0) == 2
         assert sink.append(TOKEN, codec.encode(record(0, "AC_002")), T0) == 3
@@ -183,8 +190,7 @@ class TestStateSnapshot:
     def test_round_trips_through_the_snapshot_file(self, listing_record):
         sink = CloudSink()
         sink.append(TOKEN, codec.encode(listing_record), T0)
-        state = sink.state_dict()
-        assert state_to_csv(json.loads(state_to_json(state))) == state_to_csv(state)
+        assert state_to_csv(json.loads(streamed(sink))) == state_to_csv(sink.state_dict())
 
     def test_key_on_two_rows_is_an_error(self):
         state = snapshot(record(0), record(1))
@@ -210,7 +216,7 @@ class TestStateSnapshot:
         sink.append(TOKEN, codec.encode(record(1)), T0.add_seconds(3600))
         rows = sink.state_dict()["rows"]
         assert [r["record"] for r in rows] == [
-            json.loads(codec.encode(r.record)) for r in sink.table.rows
+            json.loads(codec.encode(r.record)) for r in stored_rows(sink.table)
         ]
         assert [r["received_at"] for r in rows] == [
             "2024-01-15T14:30:45Z",
@@ -221,18 +227,22 @@ class TestStateSnapshot:
         sink = CloudSink()
         sink.append(TOKEN, codec.encode(listing_record), T0)
         sink.state_dict()["rows"][0]["record"]["data"]["uid"] = "changed"
-        assert sink.table.rows[0].record.data["uid"] == "A1B2C3D4"
+        assert stored_rows(sink.table)[0].record.data["uid"] == "A1B2C3D4"
 
 
 def reference_json(state: dict) -> bytes:
     return (json.dumps(state, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def snapshot(*records: CloudRecord) -> dict:
+def filled(*records: CloudRecord) -> CloudSink:
     sink = CloudSink()
     for r in records:
         sink.append(TOKEN, codec.encode(r), T0)
-    return sink.state_dict()
+    return sink
+
+
+def snapshot(*records: CloudRecord) -> dict:
+    return filled(*records).state_dict()
 
 
 data_values = st.one_of(st.text(), st.booleans(), st.integers(min_value=-(2**80), max_value=2**80))
@@ -240,21 +250,21 @@ data_values = st.one_of(st.text(), st.booleans(), st.integers(min_value=-(2**80)
 
 class TestStateToJson:
     def test_empty_table(self):
-        assert state_to_json(CloudSink().state_dict()) == reference_json({"rows": []})
+        assert streamed(CloudSink()) == reference_json({"rows": []})
 
     def test_empty_data(self):
-        state = snapshot(record(0), record(1))
-        assert state_to_json(state) == reference_json(state)
+        sink = filled(record(0), record(1))
+        assert streamed(sink) == reference_json(sink.state_dict())
 
     def test_non_ascii_and_control_characters(self):
         data = {"név": "Ünïcødé ✓ 日本", "ctl": "tab\tnl\ncr\r\x00\x1f\x7f", 'q"\\': "\"\\/"}
-        state = snapshot(CloudRecord(DeviceId("AC_001"), T0, "status", data, 0))
-        assert state_to_json(state) == reference_json(state)
+        sink = filled(CloudRecord(DeviceId("AC_001"), T0, "status", data, 0))
+        assert streamed(sink) == reference_json(sink.state_dict())
 
     def test_bools_and_large_ints(self):
         data = {"t": True, "f": False, "zero": 0, "neg": -7, "big": 2**70, "small": -(2**70)}
-        state = snapshot(CloudRecord(DeviceId("AC_001"), T0, "status", data, 2**40))
-        assert state_to_json(state) == reference_json(state)
+        sink = filled(CloudRecord(DeviceId("AC_001"), T0, "status", data, 2**40))
+        assert streamed(sink) == reference_json(sink.state_dict())
 
     @given(
         st.lists(
@@ -266,11 +276,11 @@ class TestStateToJson:
         )
     )
     def test_matches_json_dumps(self, items):
-        state = snapshot(
+        sink = filled(
             *(CloudRecord(DeviceId("AC_001"), T0, event, data, seq)
               for seq, (event, data) in enumerate(items))
         )
-        assert state_to_json(state) == reference_json(state)
+        assert streamed(sink) == reference_json(sink.state_dict())
 
 
 # -- the append path before rows were kept as bytes, as the reference --------
@@ -337,10 +347,11 @@ def reference_parse_record(payload: bytes) -> tuple[CloudRecord, bool]:
 
 class ReferenceTable:
     """``CloudSink.append`` before rows were kept as bytes: parse the record,
-    then keep a table of ``SheetRow``s holding ``CloudRecord``s."""
+    then keep a table of rows holding ``CloudRecord``s, each row its index,
+    record and received-at time."""
 
     def __init__(self) -> None:
-        self.rows: list[SheetRow] = []
+        self.rows: list[tuple[int, CloudRecord, Timestamp]] = []
         self.seen: dict[str, int] = {}
         self.high_seq: dict[str, int] = {}
 
@@ -358,7 +369,7 @@ class ReferenceTable:
             raise StaleRecordError(f"{key} is below {device}'s stored seq {high}")
         self.high_seq[device] = record.seq
         row_index = len(self.rows)
-        self.rows.append(SheetRow(row_index, record, received_at))
+        self.rows.append((row_index, record, received_at))
         self.seen[key] = row_index
         return row_index
 
@@ -366,11 +377,11 @@ class ReferenceTable:
         return {
             "rows": [
                 {
-                    "row_index": row.row_index,
-                    "received_at": row.received_at.iso8601(),
-                    "record": codec.envelope(row.record),
+                    "row_index": row_index,
+                    "received_at": received_at.iso8601(),
+                    "record": codec.envelope(record),
                 }
-                for row in self.rows
+                for row_index, record, received_at in self.rows
             ]
         }
 
@@ -477,19 +488,156 @@ class TestAgainstTheReferenceAppend:
             assert outcome(lambda p, t: sink.append(TOKEN, p, t), payload, at) == outcome(
                 reference.append, payload, at
             )
-        assert [(r.row_index, r.record, r.received_at) for r in sink.table.rows] == [
-            (r.row_index, r.record, r.received_at) for r in reference.rows
-        ]
+        assert [
+            (r.row_index, r.record, r.received_at) for r in stored_rows(sink.table)
+        ] == reference.rows
         assert sink.state_dict() == reference.state_dict()
         assert len(sink.table) == len(reference.rows)
-        assert streamed(sink) == state_to_json(reference.state_dict())
+        assert streamed(sink) == reference_json(reference.state_dict())
 
 
-def streamed(sink: CloudSink) -> bytes:
-    """What ``write_state`` wrote."""
-    written = io.BytesIO()
-    sink.write_state(written.write)
-    return written.getvalue()
+# -- the export before it wrote lines from the validated rows, as the reference
+
+
+def reference_state_to_csv(state: dict) -> bytes:
+    """``state_to_csv`` as it was before it wrote each line from the
+    validated object: decode every row's record into a ``CloudRecord``, then
+    write the rows."""
+    snapshot_rows = state.get("rows", []) if isinstance(state, dict) else None
+    if not isinstance(snapshot_rows, list):
+        raise ValueError("expected an object with a list of rows")
+    rows: list[tuple[object, CloudRecord]] = []
+    seen: dict[str, object] = {}
+    for n, row in enumerate(snapshot_rows):
+        for name in ("row_index", "received_at", "record"):
+            if not isinstance(row, dict) or name not in row:
+                raise ValueError(f"row {n}: missing {name!r}")
+        try:
+            record = codec.decode(json.dumps(row["record"]).encode("utf-8"))
+            Timestamp.from_iso8601(row["received_at"])
+        except ValueError as exc:
+            raise ValueError(f"row {n}: {exc}") from None
+        row_index = row["row_index"]
+        key = codec.idempotency_key(record)
+        if key in seen:
+            raise SinkError(f"key {key} is on two rows: row_index {seen[key]} and {row_index}")
+        seen[key] = row_index
+        rows.append((row_index, record))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row_index, record in rows:
+        flattened = ";".join(
+            f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in record.data.items()
+        )
+        writer.writerow([row_index, record.device_id.value, record.timestamp.iso8601(),
+                         record.event_type, record.seq, flattened])
+    return buf.getvalue().encode("utf-8")
+
+
+def export_row(row_index: int = 0, received_at: object = "2024-01-15T14:30:45Z",
+               drop: tuple[str, ...] = (), **fields) -> dict:
+    """A snapshot row holding a valid envelope with ``fields`` replaced or
+    added and the keys in ``drop`` removed."""
+    envelope = {"device_id": "AC_001", "timestamp": "2024-01-15T14:30:45Z",
+                "event_type": "status", "seq": 0, "data": {}, **fields}
+    for key in drop:
+        del envelope[key]
+    return {"row_index": row_index, "received_at": received_at, "record": envelope}
+
+
+_RECEIVED_AT = ["2024-01-15T14:30:45Z", "1999-12-31T23:59:59Z"]
+_BAD_RECEIVED_AT = ["yesterday", 5, None, "2024-01-15T14:30:45Z\n", "2024-01-15T14:30:45.5Z"]
+_EXPORT_FAULTS = ("drop", "add", "wrong_type", "bad_value", "no_seq", "float_data",
+                  "lone_surrogate", "not_an_object", "bad_received_at", "missing_row_key",
+                  "row_not_an_object")
+
+
+@st.composite
+def export_rows(draw, faults: bool) -> object:
+    """A snapshot row with a valid envelope and, when ``faults``, perhaps one
+    fault the export must refuse."""
+    record = {**draw(_VALID_ENVELOPES), "seq": draw(st.integers(0, 2**70))}
+    row = {"row_index": draw(st.integers(0, 2**40)),
+           "received_at": draw(st.sampled_from(_RECEIVED_AT)), "record": record}
+    how = draw(st.sampled_from(("valid", *_EXPORT_FAULTS))) if faults else "valid"
+    key = draw(st.sampled_from(sorted(_WRONG_TYPES)))
+    if how == "drop":
+        del record[key]
+    elif how == "add":
+        record[draw(st.sampled_from(["extra", "Seq", ""]))] = 1
+    elif how == "wrong_type":
+        record[key] = draw(st.sampled_from(_WRONG_TYPES[key]))
+    elif how == "bad_value":
+        record[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+    elif how == "no_seq":
+        del record["seq"]
+    elif how == "float_data":
+        record["data"] = {**record["data"], "f": draw(st.sampled_from([1.5, 1.0, -0.0, 1e300]))}
+    elif how == "lone_surrogate":
+        record[draw(st.sampled_from(["data", "event_type", "device_id"]))] = draw(
+            st.sampled_from([{"s": "\udc00"}, {"\ud800": "v"}, "\ud800"])
+        )
+    elif how == "not_an_object":
+        row["record"] = draw(st.sampled_from([[], "x", None, 5, [record]]))
+    elif how == "bad_received_at":
+        row["received_at"] = draw(st.sampled_from(_BAD_RECEIVED_AT))
+    elif how == "missing_row_key":
+        del row[draw(st.sampled_from(sorted(row)))]
+    elif how == "row_not_an_object":
+        return draw(st.sampled_from([[], None, "row", [row]]))
+    return row
+
+
+@st.composite
+def export_snapshots(draw) -> object:
+    """A saved snapshot: valid rows, rows with faults, records repeated on
+    two rows, and now and then a snapshot of the wrong shape."""
+    faults = draw(st.booleans())
+    rows = draw(st.lists(export_rows(faults), max_size=5))
+    if rows and isinstance(rows[0], dict) and "record" in rows[0] and draw(st.booleans()):
+        again = {**rows[0], "row_index": draw(st.integers(0, 2**40))}
+        rows.insert(draw(st.integers(1, len(rows))), again)
+    shape = draw(st.sampled_from(["object"] * 6 + ["no_rows", "list", "rows_not_a_list"]))
+    if shape == "no_rows":
+        return {}
+    if shape == "list":
+        return rows
+    if shape == "rows_not_a_list":
+        return {"rows": dict(enumerate(rows))}
+    return {"rows": rows}
+
+
+def export_outcome(export, state: object) -> tuple:
+    try:
+        return ("csv", export(state))
+    except Exception as exc:  # noqa: BLE001 - the verdict is what is compared
+        return (type(exc), str(exc))
+
+
+class TestAgainstTheReferenceExport:
+    """The export validates each record and writes its line from the parsed
+    object; the reference decoded each record into a CloudRecord. Both give
+    the same bytes, or the same exception, for every snapshot."""
+
+    @given(export_snapshots())
+    @example({"rows": [export_row(0, data={"s": "a,b", "q": '"x"\ny', "t": True, "n": -2**70}),
+                       export_row(1, event_type="flow_anomaly", seq=2**70, data={"": ""})]})
+    @example({"rows": [export_row(0, drop=("seq",)), export_row(1, drop=("seq",))]})
+    @example({"rows": [export_row(3, seq=4), export_row(1, device_id="AC_002", seq=4),
+                       export_row(2, seq=4)]})
+    @example({"rows": [export_row(0, data={"\ud800": 1})]})
+    @example({"rows": [export_row(0, data={"s": "\udc00"}, seq=-1)]})
+    @example({"rows": [export_row(0, data={"f": 1.0})]})
+    @example({"rows": [export_row(0, event_type="bogus", timestamp="yesterday")]})
+    @example({"rows": [export_row(0, timestamp="2024-02-30T00:00:00Z")]})
+    @example({"rows": [export_row(0, received_at="yesterday", event_type="bogus")]})
+    @example({"rows": [export_row(0, device_id="AC_001\n")]})
+    @example({"rows": [{**export_row(0), "record": [1]}]})
+    @example({"rows": [export_row(0, extra=1, drop=("data",))]})
+    @example({"rows": []})
+    def test_same_csv_or_error(self, state):
+        assert export_outcome(state_to_csv, state) == export_outcome(reference_state_to_csv, state)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -516,7 +664,7 @@ class TestRowsAsBytes:
         simulation = Simulation(load_scenario(SCENARIOS / f"{name}.yaml"))
         simulation.run(writer=lambda line: None)
         assert len(simulation.sink.table) > 0
-        assert streamed(simulation.sink) == state_to_json(simulation.sink.state_dict())
+        assert streamed(simulation.sink) == reference_json(simulation.sink.state_dict())
 
     def test_streamed_snapshot_of_seqless_pretty_and_non_ascii_records(self):
         sink = CloudSink()
@@ -527,6 +675,6 @@ class TestRowsAsBytes:
         pretty = dict(reversed([*seqless.items(), ("seq", 5)]))
         sink.append(TOKEN, json.dumps(pretty, indent=4, ensure_ascii=False).encode(), T0)
         sink.append(TOKEN, json.dumps(seqless, indent="\t").encode(), T0.add_seconds(0.5))
-        assert [r.record.seq for r in sink.table.rows] == [0, 1, 5, 6]
-        assert streamed(sink) == state_to_json(sink.state_dict())
-        assert streamed(CloudSink()) == state_to_json(CloudSink().state_dict())
+        assert [r.record.seq for r in stored_rows(sink.table)] == [0, 1, 5, 6]
+        assert streamed(sink) == reference_json(sink.state_dict())
+        assert streamed(CloudSink()) == reference_json(CloudSink().state_dict())

@@ -18,7 +18,7 @@ from edgegate.sync import SyncClient
 from edgegate.wire import MAX_FRAME_BYTES, RemoteSink, SinkServer, WireError, _frame, _take_frame
 
 from conftest import always_open_policy
-from helpers import drain, read_frame, write_frame
+from helpers import drain, read_frame, stored_rows, write_frame
 
 TOKEN = "edgegate-mock-token"
 T0 = Timestamp.from_iso8601("2024-01-15T14:30:45Z")
@@ -198,7 +198,7 @@ class TestConcurrentAppends:
             t.join()
 
         assert errors == []
-        rows = server.sink.table.rows
+        rows = stored_rows(server.sink.table)
         assert len(rows) == 4 * per_thread
         assert [r.row_index for r in rows] == list(range(len(rows)))
         keys = {f"{r.record.device_id.value}:{r.record.seq}" for r in rows}
@@ -238,14 +238,21 @@ def send_unknown_op(sock: socket.socket) -> dict:
     return read_frame(sock)[0]
 
 
+def query_uid_with_line_feed(sock: socket.socket) -> dict:
+    write_frame(sock, {"op": "QUERY", "token": TOKEN, "uid": "A1B2C3D4\n"})
+    return read_frame(sock)[0]
+
+
 class TestUnencodableRecord:
     @pytest.mark.parametrize(
         "send, error, message",
         [
             (append_lone_surrogate, "parse", "payload is not UTF-8"),
             (send_unknown_op, "bad_request", "unknown op: 'EXPORT'"),
+            (query_uid_with_line_feed, "bad_request",
+             "uid must be 8 uppercase hex chars, got 'A1B2C3D4\\n'"),
         ],
-        ids=["lone_surrogate", "unknown_op"],
+        ids=["lone_surrogate", "unknown_op", "uid_with_line_feed"],
     )
     def test_error_reply_and_the_connection_survives(self, server, send, error, message):
         with socket.create_connection(server.address, timeout=5) as sock:
