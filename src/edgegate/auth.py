@@ -9,12 +9,13 @@ replies carry the full access policy rather than a bare verdict so cached
 entries can re-evaluate the time window locally at later presentations.
 
 The engine is a single sequential state machine per device: one request at a
-time, and a request arriving while the previous one is still deciding or the
-gate is still cycling is refused outright rather than queued.
+time, and a request arriving while the previous one still waits on the
+cloud or the gate is still open is refused outright rather than queued.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +37,7 @@ class MalformedUidError(AuthError, ValueError):
 
 
 class InvalidGateTransitionError(AuthError):
-    """Gate state transitions only Closed->Opening->Open->Closing->Closed."""
+    """Gate state transitions only Closed->Open->Closed."""
 
 
 class Outcome(Enum):
@@ -178,9 +179,7 @@ def fallback_decision(
 
 class GateState(Enum):
     CLOSED = "closed"
-    OPENING = "opening"
     OPEN = "open"
-    CLOSING = "closing"
 
 
 class GateActuator:
@@ -200,18 +199,12 @@ class GateActuator:
             )
         self.state = target
 
-    def begin_open(self) -> None:
-        self._transition(GateState.CLOSED, GateState.OPENING)
-
-    def complete_open(self) -> None:
-        self._transition(GateState.OPENING, GateState.OPEN)
+    def open(self) -> None:
+        self._transition(GateState.CLOSED, GateState.OPEN)
         self.angle_deg = self.open_angle_deg
 
-    def begin_close(self) -> None:
-        self._transition(GateState.OPEN, GateState.CLOSING)
-
-    def complete_close(self) -> None:
-        self._transition(GateState.CLOSING, GateState.CLOSED)
+    def close(self) -> None:
+        self._transition(GateState.OPEN, GateState.CLOSED)
         self.angle_deg = self.closed_angle_deg
 
 
@@ -253,6 +246,7 @@ class AccessEngine:
 
     A cache miss races the cloud reply against the deadline. Each acts only
     while its request is still ``self._pending``, so the second does nothing.
+    The pending query and the open gate are the engine's busy state.
     """
 
     def __init__(
@@ -274,8 +268,7 @@ class AccessEngine:
         self._cloud = cloud
         self._record_out = record_out
         self._event_out = event_out
-        self._seq = 0
-        self._busy = False
+        self._seq = itertools.count()
         self._pending: _Request | None = None
 
     # -- request entry points ------------------------------------------------
@@ -288,7 +281,7 @@ class AccessEngine:
         refused request, else ``auth_decision`` once the decision resolves
         (same instant for a cache hit, later for the cloud path).
         """
-        if self._busy:
+        if self._pending is not None or self.gate.state is GateState.OPEN:
             self._event_out("gate_busy", {"request_id": request_id, "raw_uid": raw_uid})
             return
         try:
@@ -297,7 +290,6 @@ class AccessEngine:
             self._event_out("rejected_input", {"request_id": request_id, "raw_uid": raw_uid})
             return
 
-        self._busy = True
         request = _Request(uid, self._clock.now(), request_id)
         now_ts = self._clock.now_ts()
         entry = self.cache.lookup(uid, now_ts)
@@ -341,13 +333,11 @@ class AccessEngine:
         granted = outcome is Outcome.GRANTED
         self._record_out(self._record(uid, at, granted))
         if granted:
-            self.gate.begin_open()
-            self.gate.complete_open()
+            self.gate.open()
             self._event_out("gate_open", {"angle_deg": self.gate.angle_deg})
             self._clock.schedule(self.config.t_entry_s, self._close_gate)
         else:
             self._event_out("buzzer", {"pattern": BUZZER_PATTERN})
-            self._busy = False
         # After the actuator event, so the trace shows the gate reacting first.
         self._event_out(
             "auth_decision",
@@ -361,10 +351,8 @@ class AccessEngine:
         )
 
     def _close_gate(self) -> None:
-        self.gate.begin_close()
-        self.gate.complete_close()
+        self.gate.close()
         self._event_out("gate_close", {"angle_deg": self.gate.angle_deg})
-        self._busy = False
 
     def _record(self, uid: Uid, at: Timestamp, granted: bool) -> CloudRecord:
         return CloudRecord(
@@ -377,10 +365,5 @@ class AccessEngine:
                 "duration_ms": int(self.config.t_entry_s * 1000) if granted else 0,
                 "location": self.location,
             },
-            seq=self._next_seq(),
+            seq=next(self._seq),
         )
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq

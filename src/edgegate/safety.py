@@ -10,6 +10,7 @@ constant-state (random walk) form, the minimal model for noise reduction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -309,16 +310,11 @@ class SafetyMonitor:
         self._last_scan: tuple[Uid, Timestamp] | None = None
         self._record_out = record_out
         self._event_out = event_out
-        self._seq = 0
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
+        self._seq = itertools.count()
 
     def _emit(self, kind: str, context: dict, at: Timestamp) -> None:
         self._record_out(
-            emit_safety_event(kind, context, at, self.device_id, self._next_seq(), self.location)
+            emit_safety_event(kind, context, at, self.device_id, next(self._seq), self.location)
         )
 
     def _context_uid(self, at: Timestamp) -> Uid | None:

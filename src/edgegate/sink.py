@@ -207,7 +207,7 @@ def state_to_csv(state: dict) -> bytes:
     ``row_index``; the data map flattens to semicolon-joined key=value pairs.
     A key on two rows raises ``SinkError`` naming both, as no row is left out
     silently."""
-    snapshot_rows = state.get("rows", []) if isinstance(state, dict) else None
+    snapshot_rows = state.get("rows") if isinstance(state, dict) else None
     if not isinstance(snapshot_rows, list):
         raise ValueError("expected an object with a list of rows")
     buf = io.StringIO()

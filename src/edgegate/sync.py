@@ -2,7 +2,8 @@
 and at-least-once in-order delivery.
 
 The client sends the head-of-line record and nothing else until that record
-is acknowledged, so sink row order always equals enqueue order. Failed sends
+is acknowledged or dead-lettered, so sink row order always equals enqueue
+order; the queue's head is the one record in flight. Failed sends
 back off exponentially (1s, 2s, 4s, ... capped at 60s) with the attempt
 counter kept per record. A record is only ever removed from the queue by an
 acknowledgement, by dead-lettering after a finite retry budget is exhausted,
@@ -101,58 +102,45 @@ class OutboxConfig:
 
 @dataclass
 class OutboxEntry:
-    """A queued record with its wire bytes, encoded once when it is queued
-    and resent unchanged on every retry."""
+    """A queued record with its wire bytes and idempotency key, both made
+    once when it is queued; the bytes are resent unchanged on every retry."""
 
     record: CloudRecord
-    enqueue_time: float
     attempts: int = 0
     payload: bytes = field(init=False, repr=False)
+    key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.payload = codec.encode(self.record)
+        self.key = codec.idempotency_key(self.record)
 
 
 class OutboxQueue:
     """Bounded FIFO of unsent records. Capacity is sized for a full day or
-    more of peak event rate; overflow behavior is explicit and counted."""
+    more of peak event rate; overflow behavior is explicit. The head is the
+    record in flight, so it is never evicted."""
 
     def __init__(self, config: OutboxConfig = OutboxConfig()) -> None:
         self.capacity = config.capacity
         self.overflow = config.overflow
         self._entries: deque[OutboxEntry] = deque()
-        self.dropped = 0
 
     def depth(self) -> int:
         return len(self._entries)
 
-    def enqueue(
-        self, record: CloudRecord, now: float, protected: OutboxEntry | None = None
-    ) -> OutboxEntry | None:
-        """Append; at capacity either reject this record or drop the oldest,
-        counting the lost event either way.
-
-        ``protected`` (the entry currently mid-send) is never evicted; when
-        it is the only candidate the new record is rejected instead. Returns
-        the evicted entry under drop-oldest, else None.
-        """
+    def enqueue(self, record: CloudRecord) -> OutboxEntry | None:
+        """Append; at capacity either reject this record or drop the oldest
+        record behind the head. Returns the evicted entry under drop-oldest,
+        else None; raises ``QueueFullError`` when nothing may be evicted."""
         evicted: OutboxEntry | None = None
         if len(self._entries) >= self.capacity:
             if self.overflow == OverflowPolicy.REJECT_NEW:
-                self.dropped += 1
                 raise QueueFullError(f"outbox full at capacity {self.capacity}")
-            victim_index = None
-            for i, entry in enumerate(self._entries):
-                if entry is not protected:
-                    victim_index = i
-                    break
-            if victim_index is None:
-                self.dropped += 1
+            if len(self._entries) == 1:
                 raise QueueFullError("outbox full and head is mid-send")
-            evicted = self._entries[victim_index]
-            del self._entries[victim_index]
-            self.dropped += 1
-        self._entries.append(OutboxEntry(record=record, enqueue_time=now))
+            evicted = self._entries[1]
+            del self._entries[1]
+        self._entries.append(OutboxEntry(record))
         return evicted
 
     def head(self) -> OutboxEntry | None:
@@ -175,13 +163,14 @@ class SyncClient:
     clock runs.
 
     State machine per record: send -> (ack: pop, emit ``delivered``) |
-    (failure: sleep backoff, resend). Only the outcome of the most recent
-    send counts: one is stale unless ``entry is self._in_flight and attempt
-    == entry.attempts``. The record in flight stays at the head of the
-    queue until it is acknowledged or dead-lettered, so an empty queue
-    means nothing is in flight. The sink's idempotency-key dedup keeps the
-    table single-copy. What happens to each record is told through
-    ``on_event`` only; the client keeps no log of its own beyond the parked
+    (failure: sleep backoff, resend). The head of the queue is the record in
+    flight, sending or waiting out a backoff, until it is acknowledged or
+    dead-lettered; the client then sends the new head, and a record queued
+    behind nothing is sent at once. Only the outcome of the most recent send
+    counts: one is stale unless ``entry is self._queue.head() and attempt ==
+    entry.attempts``. The sink's idempotency-key dedup keeps the table
+    single-copy. What happens to each record is told through ``on_event``
+    only; the client keeps no log of its own beyond the parked
     ``dead_letters``.
     """
 
@@ -198,7 +187,6 @@ class SyncClient:
         self._policy = policy or RetryPolicy()
         self._queue = queue if queue is not None else OutboxQueue()
         self._emit = on_event
-        self._in_flight: OutboxEntry | None = None  # sending or waiting out a backoff
         self.dead_letters: list[CloudRecord] = []  # parked for an operator to re-send
 
     def queue_depth(self) -> int:
@@ -206,76 +194,54 @@ class SyncClient:
 
     def enqueue(self, record: CloudRecord) -> bool:
         """Queue a record for delivery. Returns False if the overflow policy
-        rejected it (the loss is counted, never silent)."""
-        now = self._clock.now()
+        rejected it (the loss is an ``outbox_dropped`` event, never silent)."""
+        key = codec.idempotency_key(record)
         try:
-            evicted = self._queue.enqueue(record, now, protected=self._in_flight)
+            evicted = self._queue.enqueue(record)
         except QueueFullError:
-            self._emit(
-                "outbox_dropped",
-                {"key": codec.idempotency_key(record), "mode": "rejected"},
-            )
+            self._emit("outbox_dropped", {"key": key, "mode": "rejected"})
             return False
         if evicted is not None:
-            self._emit(
-                "outbox_dropped",
-                {"key": codec.idempotency_key(evicted.record), "mode": "evicted"},
-            )
-        self._emit(
-            "outbox_enqueued",
-            {"key": codec.idempotency_key(record), "depth": self._queue.depth()},
-        )
-        self._maybe_send()
+            self._emit("outbox_dropped", {"key": evicted.key, "mode": "evicted"})
+        depth = self._queue.depth()
+        self._emit("outbox_enqueued", {"key": key, "depth": depth})
+        if depth == 1:
+            self._send(self._queue.head())
         return True
-
-    def _maybe_send(self) -> None:
-        if self._in_flight is not None:
-            return
-        entry = self._queue.head()
-        if entry is None:
-            return
-        self._in_flight = entry
-        self._send(entry)
 
     def _send(self, entry: OutboxEntry) -> None:
         entry.attempts += 1
         attempt = entry.attempts
-        key = codec.idempotency_key(entry.record)
-        self._emit("send_attempt", {"key": key, "attempt": attempt})
+        self._emit("send_attempt", {"key": entry.key, "attempt": attempt})
         self._transport.send(
             entry.payload, lambda outcome: self._on_result(entry, attempt, outcome)
         )
 
     def _on_result(self, entry: OutboxEntry, attempt: int, outcome: SendOutcome) -> None:
-        if entry is not self._in_flight or attempt != entry.attempts:
+        if entry is not self._queue.head() or attempt != entry.attempts:
             return  # stale ack/nack from an earlier send of this or another record
-        key = codec.idempotency_key(entry.record)
         if isinstance(outcome, Ack):
-            assert self._queue.head() is entry
             self._queue.pop_head()
             self._emit(
                 "delivered",
                 {
-                    "key": key,
+                    "key": entry.key,
                     "row_index": outcome.row_index,
-                    "attempts": entry.attempts,
+                    "attempts": attempt,
                     "depth": self._queue.depth(),
                 },
             )
-            self._in_flight = None
-            self._maybe_send()
-            return
-
-        reason = outcome.reason if isinstance(outcome, Nack) else "timeout"
-        self._emit("send_failed", {"key": key, "attempt": entry.attempts, "reason": reason})
-        budget = self._policy.max_attempts
-        if budget is not None and entry.attempts >= budget:
-            assert self._queue.head() is entry
+        else:
+            reason = outcome.reason if isinstance(outcome, Nack) else "timeout"
+            self._emit("send_failed", {"key": entry.key, "attempt": attempt, "reason": reason})
+            budget = self._policy.max_attempts
+            if budget is None or attempt < budget:
+                delay = backoff_delay(attempt, self._policy)
+                self._clock.schedule(delay, lambda: self._send(entry))
+                return
             self._queue.pop_head()
             self.dead_letters.append(entry.record)
-            self._emit("dead_letter", {"key": key, "depth": self._queue.depth()})
-            self._in_flight = None
-            self._maybe_send()
-            return
-        delay = backoff_delay(entry.attempts, self._policy)
-        self._clock.schedule(delay, lambda: self._send(entry))
+            self._emit("dead_letter", {"key": entry.key, "depth": self._queue.depth()})
+        head = self._queue.head()
+        if head is not None:
+            self._send(head)

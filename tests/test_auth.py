@@ -196,20 +196,19 @@ class TestGateActuator:
     def test_full_cycle(self):
         gate = GateActuator()
         assert gate.state is GateState.CLOSED and gate.angle_deg == 0
-        gate.begin_open()
-        gate.complete_open()
+        gate.open()
         assert gate.state is GateState.OPEN and gate.angle_deg == 90
-        gate.begin_close()
-        gate.complete_close()
+        gate.close()
         assert gate.state is GateState.CLOSED and gate.angle_deg == 0
 
     def test_out_of_order_transition_rejected(self):
         gate = GateActuator()
         with pytest.raises(InvalidGateTransitionError):
-            gate.begin_close()
-        gate.begin_open()
+            gate.close()
+        gate.open()
         with pytest.raises(InvalidGateTransitionError):
-            gate.begin_open()
+            gate.open()
+        assert gate.state is GateState.OPEN and gate.angle_deg == 90
 
 
 # -- engine-level behavior -----------------------------------------------------

@@ -228,6 +228,8 @@ class TestExport:
         "reshape, err",
         [
             (lambda state: state["rows"], "expected an object with a list of rows"),
+            (lambda state: {}, "expected an object with a list of rows"),
+            (lambda state: {"row": state["rows"]}, "expected an object with a list of rows"),
             (lambda state: {"rows": {"0": state["rows"][0]}},
              "expected an object with a list of rows"),
             (lambda state: {"rows": state["rows"][:2] + [[]]}, "row 2: missing 'row_index'"),
@@ -237,7 +239,7 @@ class TestExport:
             (with_numeric_received_at, "row 2: bad ISO-8601 timestamp: 5"),
             (with_lone_surrogate, "row 2: data value for 'note' holds a lone surrogate"),
         ],
-        ids=["list_top_level", "rows_not_a_list", "row_not_an_object", "row_without_record",
+        ids=["list_top_level", "no_rows", "misspelt_rows", "rows_not_a_list", "row_not_an_object", "row_without_record",
              "bad_event_type", "bad_received_at", "numeric_received_at", "lone_surrogate"],
     )
     def test_malformed_snapshot_exits_one(self, tmp_path, capsys, reshape, err):
