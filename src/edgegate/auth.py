@@ -25,7 +25,7 @@ from .codec import CloudRecord
 from .core import (
     AccessPolicy, DeviceId, Timestamp, Uid, bounded, discard, seconds_of_day, weekday_of
 )
-from .sync import SchedulerPort
+from .sync import Nack, SchedulerPort
 
 
 class AuthError(Exception):
@@ -208,22 +208,14 @@ class GateActuator:
         self.angle_deg = self.closed_angle_deg
 
 
-class ReplyKind(Enum):
-    POLICY = "policy"
-    NOT_FOUND = "not_found"
-    UNAVAILABLE = "unavailable"
-
-
-@dataclass(frozen=True)
-class PolicyReply:
-    kind: ReplyKind
-    policy: AccessPolicy | None = None
-
-
 class CloudQueryPort(Protocol):
-    """Asynchronous authorization lookup; the engine enforces its own deadline."""
+    """Asynchronous authorization lookup; the engine enforces its own deadline.
+    The reply is the sink's answer, the uid's policy or None when the uid is
+    unknown, or a ``Nack`` when the sink could not answer."""
 
-    def query_policy(self, uid: Uid, on_reply: Callable[[PolicyReply], None]) -> None: ...
+    def query_policy(
+        self, uid: Uid, on_reply: Callable[[AccessPolicy | None | Nack], None]
+    ) -> None: ...
 
 
 @dataclass
@@ -305,19 +297,19 @@ class AccessEngine:
 
     # -- decision plumbing ---------------------------------------------------
 
-    def _on_cloud_reply(self, request: _Request, reply: PolicyReply) -> None:
+    def _on_cloud_reply(self, request: _Request, reply: AccessPolicy | None | Nack) -> None:
         if self._pending is not request:
             return  # the deadline already decided this request
         self._pending = None
         now_ts = self._clock.now_ts()
-        if reply.kind is ReplyKind.POLICY and reply.policy is not None:
-            self.cache.update(request.uid, reply.policy, now_ts, self.config.cache_ttl_s)
-            self._finish(request, check_temporal(reply.policy, now_ts), DecisionSource.CLOUD)
-        elif reply.kind is ReplyKind.NOT_FOUND:
-            self._finish(request, Outcome.DENIED, DecisionSource.CLOUD)
-        else:  # backend reachable but unavailable: same recourse as a timeout
+        if isinstance(reply, Nack):  # backend reachable but unavailable: as a timeout
             outcome = fallback_decision(request.uid, self.cache, now_ts, self.config)
             self._finish(request, outcome, DecisionSource.FALLBACK)
+        elif reply is None:
+            self._finish(request, Outcome.DENIED, DecisionSource.CLOUD)
+        else:
+            self.cache.update(request.uid, reply, now_ts, self.config.cache_ttl_s)
+            self._finish(request, check_temporal(reply, now_ts), DecisionSource.CLOUD)
 
     def _on_cloud_deadline(self, request: _Request) -> None:
         if self._pending is not request:

@@ -163,7 +163,11 @@ def _cmd_serve_sink(args: argparse.Namespace) -> int:
         if scenario is None:
             return 1
         sink.seed_policies(scenario.authz)
-    server = SinkServer(sink, host=args.host, port=args.port)
+    try:
+        server = SinkServer(sink, host=args.host, port=args.port)
+    except OSError as exc:
+        print(f"cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 2
     print(f"sink listening on {server.address[0]}:{server.port}", flush=True)
     try:
         server.serve_forever()

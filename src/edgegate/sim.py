@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import codec, metrics as metrics_mod
-from .auth import (
-    AccessEngine,
-    CloudQueryPort,
-    PolicyReply,
-    ReplyKind,
-    check_temporal,
-    Outcome,
-)
+from .auth import AccessEngine, CloudQueryPort, check_temporal, Outcome
 from .core import AccessPolicy, Timestamp, Uid
 from .safety import SafetyMonitor
 from .scenario import (
@@ -45,7 +38,7 @@ from .scenario import (
     Scenario,
 )
 from .sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableError
-from .sync import Ack, Nack, OutboxQueue, SendOutcome, SendTimeout, SyncClient
+from .sync import Nack, OutboxQueue, SendOutcome, SyncClient
 from .trace import EventTrace, GroundTruth
 from .wire import SinkServer, WireError
 
@@ -227,35 +220,31 @@ class SimCloudClient(CloudQueryPort):
         self._token = token
         self._rng = rng
 
-    def query_policy(self, uid: Uid, on_reply: Callable[[PolicyReply], None]) -> None:
+    def query_policy(
+        self, uid: Uid, on_reply: Callable[[AccessPolicy | None | Nack], None]
+    ) -> None:
         rtt = self._model.transit(self._clock.now(), self._rng)
         if rtt is None:
             return
 
         def deliver() -> None:
             try:
-                policy = self._sink.query_policy(self._token, uid)
+                reply = self._sink.query_policy(self._token, uid)
             except (UnavailableError, UnauthorizedError, WireError):
-                on_reply(PolicyReply(ReplyKind.UNAVAILABLE))
-                return
-            if policy is None:
-                on_reply(PolicyReply(ReplyKind.NOT_FOUND))
-            else:
-                on_reply(PolicyReply(ReplyKind.POLICY, policy))
+                reply = Nack("unavailable")
+            on_reply(reply)
 
         self._clock.schedule(rtt, deliver)
-
-
-_TIMED_OUT = SendTimeout()
 
 
 class SimTransport:
     """Uplink sends over the simulated network with a client-side timeout.
 
-    A request lost to a partition or a drop surfaces as SendTimeout after
-    ``timeout_s``. A delivered request whose acknowledgement is dropped also
-    times out, although the sink has already stored the record; the ensuing
-    retransmission is what the sink's idempotency dedup absorbs.
+    A request lost to a partition or a drop surfaces as ``Nack("timeout")``
+    after ``timeout_s``. A delivered request whose acknowledgement is
+    dropped also times out, although the sink has already stored the
+    record; the ensuing retransmission is what the sink's idempotency dedup
+    absorbs.
 
     Each send gives one outcome: of its timeout and its delivery, whichever
     comes second finds the send's ``done`` flag set and does nothing.
@@ -278,7 +267,7 @@ class SimTransport:
                 done = True
                 on_result(outcome)
 
-        self._clock.schedule(self.timeout_s, lambda: finish(_TIMED_OUT))
+        self._clock.schedule(self.timeout_s, lambda: finish(Nack("timeout")))
         latency = self._model.transit(self._clock.now(), self._rng)
         if latency is None:
             return
@@ -301,7 +290,7 @@ class SimTransport:
                 finish(Nack(f"schema: {exc}"))
                 return
             if not ack_dropped:
-                finish(Ack(row))
+                finish(row)
 
         self._clock.schedule(latency, deliver)
 

@@ -62,29 +62,21 @@ def backoff_delay(attempt: int, policy: RetryPolicy) -> float:
     return min(policy.t_max_s, policy.t_base_s * 2.0 ** exponent)
 
 
-# Send outcomes delivered by a transport to its completion callback.
-
-
-@dataclass(frozen=True)
-class Ack:
-    row_index: int
-
-
 @dataclass(frozen=True)
 class Nack:
+    """A failed call to the sink: refused, unavailable or timed out."""
+
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class SendTimeout:
-    pass
-
-
-SendOutcome = Ack | Nack | SendTimeout
+# What a transport hands its completion callback: the sink's row index, or a Nack.
+SendOutcome = int | Nack
 
 
 class TransportPort(Protocol):
-    """Request/response port to the sink: send bytes, get exactly one outcome."""
+    """Request/response port to the sink: send bytes, get exactly one outcome,
+    either the row index the sink stored the record at or a ``Nack`` whose
+    reason is the ``send_failed`` reason."""
 
     def send(self, payload: bytes, on_result: Callable[[SendOutcome], None]) -> None: ...
 
@@ -162,16 +154,16 @@ class SyncClient:
     """Single-device uplink: drains the outbox strictly in order as the
     clock runs.
 
-    State machine per record: send -> (ack: pop, emit ``delivered``) |
-    (failure: sleep backoff, resend). The head of the queue is the record in
-    flight, sending or waiting out a backoff, until it is acknowledged or
-    dead-lettered; the client then sends the new head, and a record queued
-    behind nothing is sent at once. Only the outcome of the most recent send
-    counts: one is stale unless ``entry is self._queue.head() and attempt ==
-    entry.attempts``. The sink's idempotency-key dedup keeps the table
-    single-copy. What happens to each record is told through ``on_event``
-    only; the client keeps no log of its own beyond the parked
-    ``dead_letters``.
+    State machine per record: send -> (row index: pop, emit ``delivered``) |
+    (``Nack``: emit ``send_failed`` with its reason, sleep backoff, resend).
+    The head of the queue is the record in flight, sending or waiting out a
+    backoff, until it is acknowledged or dead-lettered; the client then
+    sends the new head, and a record queued behind nothing is sent at once.
+    Only the outcome of the most recent send counts: one is stale unless
+    ``entry is self._queue.head() and attempt == entry.attempts``. The
+    sink's idempotency-key dedup keeps the table single-copy. What happens
+    to each record is told through ``on_event`` only; the client keeps no
+    log of its own beyond the parked ``dead_letters``.
     """
 
     def __init__(
@@ -220,20 +212,10 @@ class SyncClient:
     def _on_result(self, entry: OutboxEntry, attempt: int, outcome: SendOutcome) -> None:
         if entry is not self._queue.head() or attempt != entry.attempts:
             return  # stale ack/nack from an earlier send of this or another record
-        if isinstance(outcome, Ack):
-            self._queue.pop_head()
+        if isinstance(outcome, Nack):
             self._emit(
-                "delivered",
-                {
-                    "key": entry.key,
-                    "row_index": outcome.row_index,
-                    "attempts": attempt,
-                    "depth": self._queue.depth(),
-                },
+                "send_failed", {"key": entry.key, "attempt": attempt, "reason": outcome.reason}
             )
-        else:
-            reason = outcome.reason if isinstance(outcome, Nack) else "timeout"
-            self._emit("send_failed", {"key": entry.key, "attempt": attempt, "reason": reason})
             budget = self._policy.max_attempts
             if budget is None or attempt < budget:
                 delay = backoff_delay(attempt, self._policy)
@@ -242,6 +224,17 @@ class SyncClient:
             self._queue.pop_head()
             self.dead_letters.append(entry.record)
             self._emit("dead_letter", {"key": entry.key, "depth": self._queue.depth()})
+        else:
+            self._queue.pop_head()
+            self._emit(
+                "delivered",
+                {
+                    "key": entry.key,
+                    "row_index": outcome,
+                    "attempts": attempt,
+                    "depth": self._queue.depth(),
+                },
+            )
         head = self._queue.head()
         if head is not None:
             self._send(head)

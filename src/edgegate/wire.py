@@ -24,6 +24,7 @@ import selectors
 import socket
 import struct
 import threading
+from typing import Callable, TypeVar
 
 from . import codec
 from .core import AccessPolicy, ClockPort, SystemClock, Uid
@@ -33,6 +34,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LEN = struct.Struct(">I")
 # Bytes asked of one recv; a larger frame arrives over several.
 _RECV_BYTES = 64 * 1024
+_T = TypeVar("_T")
 
 
 class WireError(Exception):
@@ -385,13 +387,18 @@ class RemoteSink:
                 self._sock = None
                 self._peer = None
 
-    def _call(self, request: dict, payload: bytes | None = None) -> dict:
+    def _call(self, request: dict, payload: bytes | None, read: Callable[[dict], _T]) -> _T:
+        """Send one request and return ``read`` of its reply. A refusal in the
+        reply raises the sink's own exception."""
         frame = _frame(request, payload)
         with self._lock:
             # Any failure leaves the stream at an unknown offset: a reply
-            # read after it could belong to this request, so reconnect.
+            # read after it could belong to this request, so reconnect. A
+            # reply whose fields do not parse counts as such a failure.
             try:
-                return self._exchange(self._conn(), frame)
+                response = self._exchange(self._conn(), frame)
+                self._raise_on_error(response)
+                return read(response)
             except OSError as exc:
                 self.close()
                 raise WireError(f"sink connection failed: {exc}") from None
@@ -425,16 +432,10 @@ class RemoteSink:
             buf += data
 
     def append(self, token: str, record_bytes: bytes, received_at=None) -> int:
-        response = self._call({"op": "APPEND", "token": token}, record_bytes)
-        self._raise_on_error(response)
-        return int(response["row_index"])
+        return self._call({"op": "APPEND", "token": token}, record_bytes, _row_index)
 
     def query_policy(self, token: str, uid: Uid) -> AccessPolicy | None:
-        response = self._call({"op": "QUERY", "token": token, "uid": uid.value})
-        self._raise_on_error(response)
-        if not response.get("found"):
-            return None
-        return AccessPolicy.from_dict(response["policy"])
+        return self._call({"op": "QUERY", "token": token, "uid": uid.value}, None, _policy)
 
     @staticmethod
     def _raise_on_error(response: dict) -> None:
@@ -446,3 +447,19 @@ class RemoteSink:
             if code == known:
                 raise cls(message)
         raise WireError(f"{code}: {message}")
+
+
+def _row_index(response: dict) -> int:
+    row = response.get("row_index")
+    if type(row) is not int or row < 0:
+        raise WireError(f"malformed reply: bad row_index {row!r}")
+    return row
+
+
+def _policy(response: dict) -> AccessPolicy | None:
+    if not response.get("found"):
+        return None
+    try:
+        return AccessPolicy.from_dict(response["policy"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise WireError(f"malformed reply: bad policy: {exc!r}") from None

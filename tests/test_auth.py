@@ -13,8 +13,6 @@ from edgegate.auth import (
     MalformedUidError,
     Outcome,
     PolicyCache,
-    PolicyReply,
-    ReplyKind,
     cache_lookup,
     check_temporal,
     fallback_decision,
@@ -31,6 +29,7 @@ from edgegate.core import (
     Weekday,
 )
 from edgegate.sim import SimClock
+from edgegate.sync import Nack
 
 from helpers import decide
 
@@ -229,13 +228,13 @@ class ScriptedCloud:
         if script[0] == "silent":
             return
         if script[0] == "policy":
-            reply = PolicyReply(ReplyKind.POLICY, script[1])
+            reply = script[1]
             delay = script[2]
         elif script[0] == "not_found":
-            reply = PolicyReply(ReplyKind.NOT_FOUND)
+            reply = None
             delay = script[1]
         else:
-            reply = PolicyReply(ReplyKind.UNAVAILABLE)
+            reply = Nack("unavailable")
             delay = script[1]
         self.clock.schedule(delay, lambda: on_reply(reply))
 

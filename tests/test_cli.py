@@ -4,6 +4,7 @@ import json
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -428,3 +429,12 @@ class TestScenarioErrors:
         missing = tmp_path / "missing.yaml"
         assert main(["serve-sink", "--port", "0", "--scenario", str(missing)]) == 1
         assert "cannot read scenario" in capsys.readouterr().err
+
+    def test_serve_sink_on_a_busy_port_exits_two(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            port = holder.getsockname()[1]
+            assert main(["serve-sink", "--port", str(port)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1

@@ -12,7 +12,6 @@ from edgegate.codec import CloudRecord
 from edgegate.core import DeviceId, Timestamp, discard
 from edgegate.sim import SimClock
 from edgegate.sync import (
-    Ack,
     InvalidAttemptError,
     Nack,
     OutboxConfig,
@@ -22,7 +21,6 @@ from edgegate.sync import (
     RetryPolicy,
     SchedulerPort,
     SendOutcome,
-    SendTimeout,
     SyncClient,
     SyncError,
     TransportPort,
@@ -117,8 +115,8 @@ class ScriptedTransport:
         if self.script:
             outcome = self.script.pop(0)
         else:
-            outcome = Ack(self.rows)
-        if isinstance(outcome, Ack):
+            outcome = self.rows
+        if not isinstance(outcome, Nack):
             self.rows += 1
         if self.latency_s > 0:
             self.clock.schedule(self.latency_s, lambda: on_result(outcome))
@@ -153,7 +151,7 @@ class TestSyncClient:
         assert client.queue_depth() == 0
 
     def test_retry_delays_follow_backoff(self):
-        client, clock, transport, events = make_client(script=[Nack(), Nack(), Ack(0)])
+        client, clock, transport, events = make_client(script=[Nack(), Nack(), 0])
         client.enqueue(record(0))
         drain(client, clock)
         # two immediate failures, then success after sleeping 1s and 2s
@@ -164,7 +162,7 @@ class TestSyncClient:
 
     def test_head_of_line_blocking(self):
         client, clock, transport, events = make_client(
-            script=[Nack(), Ack(0), Ack(1)]
+            script=[Nack(), 0, 1]
         )
         client.enqueue(record(0))
         client.enqueue(record(1))
@@ -177,14 +175,14 @@ class TestSyncClient:
         encoded = []
         real_encode = codec.encode
         monkeypatch.setattr(codec, "encode", lambda r: encoded.append(r) or real_encode(r))
-        client, clock, transport, events = make_client(script=[Nack(), SendTimeout(), Ack(0)])
+        client, clock, transport, events = make_client(script=[Nack(), Nack("timeout"), 0])
         client.enqueue(record(0))
         drain(client, clock)
         assert encoded == [record(0)]
         assert transport.sent_payloads == [codec.encode(record(0))] * 3
 
     def test_timeout_counts_as_failure(self):
-        client, clock, transport, events = make_client(script=[SendTimeout(), Ack(0)])
+        client, clock, transport, events = make_client(script=[Nack("timeout"), 0])
         client.enqueue(record(0))
         drain(client, clock)
         reasons = [d["reason"] for k, d in events if k == "send_failed"]
@@ -202,7 +200,7 @@ class TestSyncClient:
         assert client.queue_depth() == 0  # parked, not queued, never silent
 
     def test_attempt_counter_is_per_record(self):
-        client, clock, transport, events = make_client(script=[Nack(), Ack(0), Ack(1)])
+        client, clock, transport, events = make_client(script=[Nack(), 0, 1])
         client.enqueue(record(0))
         client.enqueue(record(1))
         drain(client, clock)
@@ -217,8 +215,8 @@ class TestSyncClient:
 
         class DoubleAckTransport:
             def send(self, payload, on_result):
-                on_result(Ack(0))
-                on_result(Ack(0))  # retransmission race echo
+                on_result(0)
+                on_result(0)  # retransmission race echo
 
         events = []
         client = SyncClient(
@@ -250,14 +248,14 @@ class TestSyncClient:
         )
         client.enqueue(record(0))
         first = transport.callbacks[0]
-        first(SendTimeout())
+        first(Nack("timeout"))
         clock.run_until(clock.now() + 1.0)  # the backoff; attempt 2 goes out
         assert len(transport.callbacks) == 2
-        first(Ack(7))  # attempt 1's late ack, during attempt 2
+        first(7)  # attempt 1's late ack, during attempt 2
         first(Nack("late"))
         assert delivered(events) == [] and client.queue_depth() == 1
         assert [d["attempt"] for k, d in events if k == "send_failed"] == [1]
-        transport.callbacks[1](Ack(3))
+        transport.callbacks[1](3)
         assert delivered(events) == [("AC_001:0", 3)]
         assert client.queue_depth() == 0
 
@@ -297,7 +295,7 @@ class TestSyncClient:
 # record (None) or advance the clock by so many seconds.
 UPLINK_RUNS = dict(
     script=st.lists(
-        st.sampled_from([Ack(0), Nack("refused"), Nack("refused"), SendTimeout()]),
+        st.sampled_from([0, Nack("refused"), Nack("refused"), Nack("timeout")]),
         max_size=40,
     ),
     steps=st.lists(st.sampled_from([None, None, 0.3, 2.0, 10.0]), min_size=4, max_size=40),
@@ -517,14 +515,14 @@ class ReferenceSyncClient:
         if entry is not self._in_flight or attempt != entry.attempts:
             return  # stale ack/nack from an earlier send of this or another record
         key = codec.idempotency_key(entry.record)
-        if isinstance(outcome, Ack):
+        if not isinstance(outcome, Nack):
             assert self._queue.head() is entry
             self._queue.pop_head()
             self._emit(
                 "delivered",
                 {
                     "key": key,
-                    "row_index": outcome.row_index,
+                    "row_index": outcome,
                     "attempts": entry.attempts,
                     "depth": self._queue.depth(),
                 },
@@ -533,7 +531,7 @@ class ReferenceSyncClient:
             self._maybe_send()
             return
 
-        reason = outcome.reason if isinstance(outcome, Nack) else "timeout"
+        reason = outcome.reason
         self._emit("send_failed", {"key": key, "attempt": entry.attempts, "reason": reason})
         budget = self._policy.max_attempts
         if budget is not None and entry.attempts >= budget:

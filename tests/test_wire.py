@@ -424,34 +424,26 @@ class TestStalledClient:
 
 
 class TestClientClosesOnWireError:
-    def test_next_call_reconnects_after_a_framing_error(self):
-        """After a "frame too large" header the rest of that reply is still
-        unread; the client must drop the connection, not read it as the
-        next call's reply."""
+    @staticmethod
+    def first_reply_then_row_7(first: bytes, call) -> None:
+        """Serve ``first`` to the client's first connection and a row index
+        of 7 to its second: ``call`` must raise, and an append after it must
+        read 7 over a new connection."""
         listener = socket.create_server(("127.0.0.1", 0))
         accepted: list[socket.socket] = []
 
-        def one_shot_server():
-            first, _ = listener.accept()
-            accepted.append(first)
-            read_frame(first)
-            stale = codec.compact_json({"ok": True, "row_index": 99}).encode()
-            first.sendall(
-                (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
-                + len(stale).to_bytes(4, "big")
-                + stale
-            )
-            second, _ = listener.accept()
-            accepted.append(second)
-            read_frame(second)
-            write_frame(second, {"ok": True, "row_index": 7})
+        def scripted_server():
+            for reply in (first, _frame({"ok": True, "row_index": 7})):
+                conn, _ = listener.accept()
+                accepted.append(conn)
+                read_frame(conn)
+                conn.sendall(reply)
 
-        thread = threading.Thread(target=one_shot_server, daemon=True)
+        thread = threading.Thread(target=scripted_server, daemon=True)
         thread.start()
         client = RemoteSink(*listener.getsockname(), connect_timeout_s=2.0)
         try:
-            with pytest.raises(WireError, match="frame too large"):
-                client.append(TOKEN, codec.encode(record(0)))
+            call(client)
             assert client.append(TOKEN, codec.encode(record(1))) == 7
         finally:
             client.close()
@@ -461,6 +453,44 @@ class TestClientClosesOnWireError:
             listener.close()
         assert not thread.is_alive()
         assert len(accepted) == 2
+
+    def test_next_call_reconnects_after_a_framing_error(self):
+        """After a "frame too large" header the rest of that reply is still
+        unread; the client must drop the connection, not read it as the
+        next call's reply."""
+        stale = codec.compact_json({"ok": True, "row_index": 99}).encode()
+
+        def call(client):
+            with pytest.raises(WireError, match="frame too large"):
+                client.append(TOKEN, codec.encode(record(0)))
+
+        self.first_reply_then_row_7((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + framed(stale), call)
+
+    @pytest.mark.parametrize(
+        "op, reply, field",
+        [
+            ("append", {"ok": True}, "row_index"),
+            ("append", {"ok": True, "row_index": "x"}, "row_index"),
+            ("append", {"ok": True, "row_index": True}, "row_index"),
+            ("append", {"ok": True, "row_index": -1}, "row_index"),
+            ("query", {"ok": True, "found": True, "policy": {"uid": "zz"}}, "policy"),
+            ("query", {"ok": True, "found": True}, "policy"),
+            ("query", {"ok": True, "found": True, "policy": "A1B2C3D4"}, "policy"),
+        ],
+    )
+    def test_a_reply_field_that_does_not_parse_is_a_wire_error(self, op, reply, field):
+        """A reply that frames well but whose field does not parse names the
+        field, so a transport reads it as an outage, and the client
+        reconnects for its next call."""
+
+        def call(client):
+            with pytest.raises(WireError, match=f"malformed reply: bad {field}"):
+                if op == "append":
+                    client.append(TOKEN, codec.encode(record(0)))
+                else:
+                    client.query_policy(TOKEN, Uid("A1B2C3D4"))
+
+        self.first_reply_then_row_7(_frame(reply), call)
 
 
 @pytest.fixture
