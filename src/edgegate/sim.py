@@ -23,7 +23,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import codec, metrics as metrics_mod
 from .auth import AccessEngine, CloudQueryPort, check_temporal, Outcome
@@ -41,6 +41,8 @@ from .sink import CloudSink, StaleRecordError, UnauthorizedError, UnavailableErr
 from .sync import Nack, OutboxQueue, SendOutcome, SyncClient
 from .trace import EventTrace, GroundTruth
 from .wire import SinkServer, WireError
+
+_T = TypeVar("_T")
 
 
 class SimError(Exception):
@@ -77,8 +79,8 @@ class SimClock:
     absolute timestamp.
 
     A scheduled callback cannot be withdrawn; each fires when due. A timer
-    that may lose a race (a send timeout, a cloud deadline, a late reply)
-    does nothing if, when it fires, what it guards is no longer current.
+    that may lose a race (a cloud deadline, a late cloud reply) does
+    nothing if, when it fires, what it guards is no longer current.
     """
 
     def __init__(self, start: Timestamp | float = 0.0) -> None:
@@ -208,10 +210,23 @@ def split_rng(seed: int, stream: str) -> random.Random:
     return random.Random(f"{seed}/{stream}")
 
 
-class SimCloudClient(CloudQueryPort):
-    """Authorization lookups over the simulated network. No reply is ever
-    scheduled during a partition or for a dropped request; the engine's own
-    deadline converts that silence into the fallback path."""
+def _answer(call: Callable[..., _T], *args) -> _T | Nack:
+    """The sink's answer to ``call(*args)``, or the ``Nack`` whose reason
+    names the failure: the one table from a sink failure to its reason."""
+    try:
+        return call(*args)
+    except (UnavailableError, WireError):
+        return Nack("unavailable")
+    except UnauthorizedError:
+        return Nack("unauthorized")
+    except StaleRecordError:
+        return Nack("stale")
+    except codec.CodecError as exc:
+        return Nack(f"schema: {exc}")
+
+
+class _SinkLink:
+    """A device's port to the sink over the simulated network."""
 
     def __init__(self, clock, model, sink_port, token, rng) -> None:
         self._clock = clock
@@ -220,79 +235,59 @@ class SimCloudClient(CloudQueryPort):
         self._token = token
         self._rng = rng
 
+
+class SimCloudClient(_SinkLink, CloudQueryPort):
+    """Authorization lookups over the simulated network. No reply is ever
+    scheduled during a partition or for a dropped request; the engine's own
+    deadline converts that silence into the fallback path."""
+
     def query_policy(
         self, uid: Uid, on_reply: Callable[[AccessPolicy | None | Nack], None]
     ) -> None:
         rtt = self._model.transit(self._clock.now(), self._rng)
-        if rtt is None:
-            return
-
-        def deliver() -> None:
-            try:
-                reply = self._sink.query_policy(self._token, uid)
-            except (UnavailableError, UnauthorizedError, WireError):
-                reply = Nack("unavailable")
-            on_reply(reply)
-
-        self._clock.schedule(rtt, deliver)
+        if rtt is not None:
+            self._clock.schedule(
+                rtt, lambda: on_reply(_answer(self._sink.query_policy, self._token, uid))
+            )
 
 
-class SimTransport:
+class SimTransport(_SinkLink):
     """Uplink sends over the simulated network with a client-side timeout.
 
-    A request lost to a partition or a drop surfaces as ``Nack("timeout")``
-    after ``timeout_s``. A delivered request whose acknowledgement is
-    dropped also times out, although the sink has already stored the
-    record; the ensuing retransmission is what the sink's idempotency dedup
+    A send picks the one reporter of its outcome when it is sent. It is
+    replied when its request survives, the sink's reply (a row index or a
+    refusal) is not dropped on the way back, and the latency is within
+    ``timeout_s``; the delivery then reports the sink's answer. Otherwise
+    ``Nack("timeout")`` is reported at ``timeout_s``. A surviving request
+    always reaches the sink, so a late or unacknowledged copy is still
+    stored; the ensuing retransmission is what the sink's idempotency dedup
     absorbs.
-
-    Each send gives one outcome: of its timeout and its delivery, whichever
-    comes second finds the send's ``done`` flag set and does nothing.
     """
 
     def __init__(self, clock, model, sink_port, token, rng, timeout_s: float = 5.0) -> None:
-        self._clock = clock
-        self._model = model
-        self._sink = sink_port
-        self._token = token
-        self._rng = rng
+        super().__init__(clock, model, sink_port, token, rng)
         self.timeout_s = timeout_s
 
     def send(self, payload: bytes, on_result: Callable[[SendOutcome], None]) -> None:
-        done = False
-
-        def finish(outcome: SendOutcome) -> None:
-            nonlocal done
-            if not done:
-                done = True
-                on_result(outcome)
-
-        self._clock.schedule(self.timeout_s, lambda: finish(Nack("timeout")))
-        latency = self._model.transit(self._clock.now(), self._rng)
+        clock = self._clock
+        latency = self._model.transit(clock.now(), self._rng)
+        ack_drop_prob = self._model.config.ack_drop_prob
+        replied = (
+            latency is not None
+            and not (ack_drop_prob > 0 and self._rng.random() < ack_drop_prob)
+            and round(latency * 1e6) < round(self.timeout_s * 1e6)
+        )
+        if not replied:  # scheduled first, so it wins a tie with the delivery
+            clock.schedule(self.timeout_s, lambda: on_result(Nack("timeout")))
         if latency is None:
             return
-        ack_drop_prob = self._model.config.ack_drop_prob
-        ack_dropped = ack_drop_prob > 0 and self._rng.random() < ack_drop_prob
 
         def deliver() -> None:
-            try:
-                row = self._sink.append(self._token, payload, self._clock.now_ts())
-            except (UnavailableError, WireError):
-                finish(Nack("unavailable"))
-                return
-            except UnauthorizedError:
-                finish(Nack("unauthorized"))
-                return
-            except StaleRecordError:
-                finish(Nack("stale"))
-                return
-            except codec.CodecError as exc:
-                finish(Nack(f"schema: {exc}"))
-                return
-            if not ack_dropped:
-                finish(row)
+            answer = _answer(self._sink.append, self._token, payload, clock.now_ts())
+            if replied:
+                on_result(answer)
 
-        self._clock.schedule(latency, deliver)
+        clock.schedule(latency, deliver)
 
 
 # ---------------------------------------------------------------------------

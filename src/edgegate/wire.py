@@ -10,11 +10,13 @@ one-to-one onto the in-process exception types, so a client talking over
 the socket observes exactly the behavior of a local sink. Any other ``op``
 gets a ``bad_request`` reply, and the connection stays open.
 
-One non-blocking ``selectors`` loop serves every connection, on a thread of
-its own (``SinkServer.start``, ``serve_forever``). An unstarted server serves
-a client from its ``connect`` on the client's thread: each call sends its
-frame over TCP, has the server answer the client's own peer connection, and
-reads the reply; only a send or ``recv`` that would block runs a loop round.
+One non-blocking ``selectors`` loop serves every connection: on a thread of
+its own after ``SinkServer.start``, or on the caller's thread in
+``serve_forever`` (``edgegate serve-sink`` runs it on its main thread). An
+unstarted server serves a client from its ``connect`` on the client's
+thread: each call sends its frame over TCP, has the server answer the
+client's own peer connection, and reads the reply; only a send or ``recv``
+that would block runs a loop round.
 """
 
 from __future__ import annotations

@@ -6,17 +6,21 @@ if the request survives, one ``gauss()`` for the latency and one
 ``random()`` for the ack drop. The clock breaks ties by insertion order. So
 a scripted ``rng`` that offers a few values per draw, driven by a
 depth-first search over choice prefixes, visits every path of the uplink
-within the bound.
+within the bound. Each schedule's first choice is the sink's: up
+throughout, or down over [0, 1.5) s, refusing every append that reaches it
+then.
 
 The scope: records 0.4 s apart, a 1 s send timeout, backoff from 0.5 to
 2 s, and ``max_attempts`` 2. A drop draw is 0.0 (taken under probability
 0.5) or 0.99 (not taken); a latency is 0.2 s (inside the timeout), 1.3 s
 (just past it) or 2.5 s (past the backoff too). A send then has 7 paths,
-one of which is acknowledged in time, so a record has 1 + 6 * 7 = 43 and
-``n`` records have 43 ** n.
+one of which is acknowledged in time, so with the sink up a record has
+1 + 6 * 7 = 43 and ``n`` records have 43 ** n. With the sink down, a reply
+that reaches the device in time is a refusal, and a record's paths depend
+on when its sends land.
 
-Tier-1 explores 2 records. ``EDGEGATE_SCHEDULE_RECORDS=3`` widens the
-bound to 3 records, about 80,000 schedules.
+Tier-1 explores 2 records, 3,962 schedules. ``EDGEGATE_SCHEDULE_RECORDS=3``
+widens the bound to 3 records, about 170,000 schedules.
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from edgegate.sink import DEFAULT_TOKEN, CloudSink, SheetTable
 from edgegate.sync import RetryPolicy, SyncClient
 
 RECORDS = int(os.environ.get("EDGEGATE_SCHEDULE_RECORDS", "2"))
-EXPECTED_SCHEDULES = {2: 1_849, 3: 79_507}
+EXPECTED_SCHEDULES = {2: 3_962, 3: 170_366}
 
 DEVICE = DeviceId("AC_001")
 T0 = Timestamp.from_iso8601("2024-01-15T14:30:45Z")
 DRAWS = (0.0, 0.99)
 LATENCIES_S = (0.2, 1.3, 2.5)
+OUTAGES = (None, (0.0, 1.5))  # sink up throughout, or down over [start, end)
 RECORD_GAP_S = 0.4
 NETWORK = NetworkConfig(drop_prob=0.5, ack_drop_prob=0.5)
 POLICY = RetryPolicy(t_base_s=0.5, t_max_s=2.0, max_attempts=2)
@@ -54,23 +59,28 @@ class ScriptedRng:
         self._prefix = prefix
         self.taken: list[tuple[int, int]] = []
 
-    def _choose(self, options: tuple[float, ...]) -> float:
+    def choose(self, options: tuple):
         i = len(self.taken)
         choice = self._prefix[i] if i < len(self._prefix) else 0
         self.taken.append((choice, len(options)))
         return options[choice]
 
     def random(self) -> float:
-        return self._choose(DRAWS)
+        return self.choose(DRAWS)
 
     def gauss(self, mu: float, sigma: float) -> float:
-        return self._choose(LATENCIES_S)
+        return self.choose(LATENCIES_S)
 
 
 def run_schedule(rng: ScriptedRng, records: int) -> tuple[list[tuple[str, dict]], CloudSink]:
     """One uplink run to quiescence: its events and its sink."""
     clock = SimClock(T0)
     sink = CloudSink()
+    outage = rng.choose(OUTAGES)
+    if outage is not None:
+        start_s, end_s = outage
+        clock.schedule_at(start_s, lambda: setattr(sink, "available", False))
+        clock.schedule_at(end_s, lambda: setattr(sink, "available", True))
     transport = SimTransport(
         clock, NetworkModel(NETWORK), sink, DEFAULT_TOKEN, rng, timeout_s=TIMEOUT_S
     )
@@ -158,5 +168,5 @@ def test_the_explorer_finds_the_order_violations_of_a_fence_free_sink(monkeypatc
     monkeypatch.setattr(SheetTable, "append", append_without_fence)
     count, broken = explore(2)
     assert count == EXPECTED_SCHEDULES[2]
-    assert len(broken) == 60
+    assert len(broken) == 360
     assert all(found == ["order"] for _, found in broken)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from edgegate import cli
+from edgegate import cli, codec
 from edgegate.auth import AccessEngine, Outcome, check_temporal
 from edgegate.codec import CloudRecord, encode
 from edgegate.core import DeviceId, Timestamp
@@ -39,7 +39,7 @@ from edgegate.sim import (
 )
 from edgegate.safety import SafetyMonitor
 from edgegate.sink import DEFAULT_TOKEN, CloudSink
-from edgegate.sync import RetryPolicy, SyncClient
+from edgegate.sync import Nack, RetryPolicy, SyncClient
 from edgegate.trace import EventTrace, GroundTruth, TraceError
 from edgegate.wire import RemoteSink, SinkServer
 
@@ -149,7 +149,7 @@ class TestSimClock:
         transport.send(encode(record), outcomes.append)
         clock.run_until(2.0)  # latency 1.2 s
         assert outcomes == [0]  # row 0
-        assert clock.pending() == 1  # the timeout, due at 5 s
+        assert clock.pending() == 0  # nothing of a replied send stays scheduled
         clock.run_until(10.0)
         assert outcomes == [0]  # no timeout after it
         assert clock.pending() == 0
@@ -159,6 +159,20 @@ class TestSimClock:
         client.enqueue(dataclasses.replace(record, seq=1))
         clock.run_until(20.0)
         assert events == ["outbox_enqueued", "send_attempt", "delivered"]
+
+    def test_a_dropped_ack_loses_a_refusal_too(self):
+        """Every reply crosses the ack leg: with every ack dropped, a send to
+        a sink that is down times out, as a send to one that is up does."""
+        clock = SimClock()
+        model = NetworkModel(NetworkConfig(latency_stddev_s=0.0, ack_drop_prob=1.0))
+        sink = CloudSink()
+        sink.available = False
+        transport = SimTransport(clock, model, sink, DEFAULT_TOKEN, random.Random(1))
+        record = CloudRecord(DeviceId("AC_001"), clock.now_ts(), "status", {}, 0)
+        outcomes = []
+        transport.send(encode(record), lambda outcome: outcomes.append((clock.now(), outcome)))
+        clock.run_until(10.0)
+        assert outcomes == [(5.0, Nack("timeout"))]
 
 
 class TestNetworkModel:
@@ -257,6 +271,79 @@ class TestStoppedSocketSink:
         # the UNAVAILABLE reply decided, not the 5 s deadline
         [decision] = [d for k, d in events if k == "auth_decision"]
         assert decision["source"] == "fallback"
+        assert decision["latency_ms"] == pytest.approx(1200.0)
+
+
+class TestSinkFailureReasons:
+    """Each way the sink refuses an append reaches the uplink as its own
+    ``send_failed`` reason, the same through the in-process sink and
+    through ``SinkServer.connect()``."""
+
+    @pytest.mark.parametrize("mode", ["inprocess", "socket"])
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            ("outage", "unavailable"),
+            ("wrong_token", "unauthorized"),
+            ("below_stored_seq", "stale"),
+            ("lone_surrogate", "schema: data value for 'note' holds a lone surrogate"),
+        ],
+    )
+    def test_reason_reaches_the_uplink(self, mode, case, reason, monkeypatch):
+        clock = SimClock()
+        model = NetworkModel(NetworkConfig(latency_stddev_s=0.0))
+        sink = CloudSink()
+        sink.seed_policies([always_open_policy("A1B2C3D4")])
+        device = DeviceId("AC_001")
+        record = CloudRecord(device, clock.now_ts(), "status", {}, 0)
+        token = DEFAULT_TOKEN
+        if case == "outage":
+            sink.available = False
+        elif case == "wrong_token":
+            token = "not-the-token"
+        elif case == "below_stored_seq":
+            sink.append(DEFAULT_TOKEN, encode(dataclasses.replace(record, seq=5)), clock.now_ts())
+            record = dataclasses.replace(record, seq=3)
+        else:
+            # A device encoder that escapes a lone surrogate into the data.
+            encode_record = codec.encode
+            monkeypatch.setattr(
+                codec,
+                "encode",
+                lambda r: encode_record(r).replace(b'"data":{}', b'"data":{"note":"\\ud800"}'),
+            )
+        server = SinkServer(sink, clock=clock) if mode == "socket" else None
+        port = server.connect() if server is not None else sink
+        events = []
+        client = SyncClient(
+            clock,
+            SimTransport(clock, model, port, token, random.Random(1)),
+            RetryPolicy(max_attempts=1),
+            on_event=lambda kind, data: events.append((kind, data)),
+        )
+        engine = AccessEngine(
+            device,
+            "Main_Entrance",
+            clock,
+            SimCloudClient(clock, model, port, token, random.Random(2)),
+            event_out=lambda kind, data: events.append((kind, data)),
+        )
+        try:
+            client.enqueue(record)
+            engine.handle_request("A1B2C3D4")
+            clock.run_until(30.0)
+        finally:
+            if server is not None:
+                port.close()
+                server.stop()
+        assert [d["reason"] for k, d in events if k == "send_failed"] == [reason]
+        assert client.dead_letters == [record]
+        [decision] = [d for k, d in events if k == "auth_decision"]
+        if case in ("outage", "wrong_token"):
+            # the refused query's reply decided, not the 5 s deadline
+            assert decision["source"] == "fallback"
+        else:
+            assert decision["source"] == "cloud"
         assert decision["latency_ms"] == pytest.approx(1200.0)
 
 
